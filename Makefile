@@ -5,7 +5,7 @@ PY ?= python
 # needed. (Targets previously assumed `make install` had been run.)
 export PYTHONPATH := src
 
-.PHONY: install test lint coverage bench obs-bench determinism obs-report experiments smoke chaos fuzz recovery ha live live-smoke live-chaos examples clean
+.PHONY: install test lint loc coverage bench obs-bench determinism obs-report experiments smoke chaos fuzz recovery ha live live-smoke live-chaos examples clean
 
 install:
 	$(PY) setup.py develop
@@ -16,6 +16,16 @@ test:
 lint:
 	$(PY) -m ruff check src/repro tests
 	-$(PY) -m mypy src/repro
+
+# Lines of Python per package under src/repro, as a markdown table
+# (ROADMAP item 3 tracks live + verify + faults + ctrl shrinking).
+loc:
+	@echo "| package | lines |"; echo "|---|---:|"
+	@for d in src/repro/*/; do \
+		echo "| $$(basename $$d) | $$(find $$d -name '*.py' | xargs cat | wc -l) |"; \
+	done
+	@echo "| (top level) | $$(cat src/repro/*.py | wc -l) |"
+	@echo "| **total** | $$(find src/repro -name '*.py' | xargs cat | wc -l) |"
 
 coverage:
 	$(PY) -m pytest -q --cov=repro --cov-report=term-missing --cov-fail-under=80
@@ -42,7 +52,7 @@ chaos:
 	$(PY) -m repro.experiments.fault_tolerance --seeds 5
 
 fuzz:
-	$(PY) -m repro.experiments.fuzz --iterations 60 --artifact-dir fuzz-artifacts
+	$(PY) -m repro.experiments.fuzz --runtime sim --runs 60 --artifact-dir fuzz-artifacts
 
 recovery:
 	$(PY) -m repro.experiments.recovery --seeds 3 --out recovery-summary.json
@@ -57,7 +67,7 @@ live-smoke:
 	$(PY) -m repro.live.conformance --seed 42 --duration 0.25 --out live-conformance.json
 
 live-chaos:
-	$(PY) -m repro.live.fuzz --seed 42 --runs 10 --artifact-dir live-chaos-artifacts --out live-chaos-summary.json
+	$(PY) -m repro.experiments.fuzz --runtime live --seed 42 --runs 10 --artifact-dir live-chaos-artifacts --out live-chaos-summary.json
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; $(PY) $$f || exit 1; done

@@ -40,7 +40,10 @@ COMMANDS = {
         "repro.experiments.table_switch_resources",
         "switch resource table",
     ),
-    "fuzz": ("repro.experiments.fuzz", "randomized invariant fuzzer"),
+    "fuzz": (
+        "repro.experiments.fuzz",
+        "randomized invariant fuzzer (--runtime sim|live)",
+    ),
     "chaos": (
         "repro.experiments.fault_tolerance",
         "fault injection / chaos runs",
@@ -57,10 +60,6 @@ COMMANDS = {
     "live-conformance": (
         "repro.live.conformance",
         "sim-vs-live conformance harness",
-    ),
-    "live-fuzz": (
-        "repro.live.fuzz",
-        "live chaos fuzzing on real sockets",
     ),
 }
 

@@ -137,6 +137,24 @@ class ClusterConfig:
             )
         return specs
 
+    def standby_program(self) -> DraconisProgram:
+        """The standby switch's program for a ``SwitchFailover``.
+
+        Configured like the active one but always *built* empty — the
+        paper's failover story (§3.3): queued-but-unassigned tasks are
+        lost and repaired by client resubmission, unless a
+        CheckpointManager install hook replays checkpoint + journal into
+        it before it sees a packet.
+        """
+        return DraconisProgram(
+            policy=self.policy,
+            queue_capacity=self.queue_capacity,
+            retrieve_mode=self.retrieve_mode,
+            queues_in_stages=self.queues_in_stages,
+            park_pulls=self.park_pulls,
+            pull_ttl_ns=self.pull_ttl_ns,
+        )
+
     def node_racks(self) -> Dict[int, int]:
         return {s.node_id: s.rack_id for s in self.worker_specs()}
 

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import common
 from repro.experiments.parallel_runner import add_jobs_argument, parallel_map
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, SimTargets
 from repro.faults.events import ControllerCrash, WorkerCrash
 from repro.sim.core import ms
 from repro.sim.rng import RngStreams
@@ -51,19 +51,6 @@ DEFAULT_CRASH_FRACTIONS = (0.25, 0.5, 0.75)
 #: for a replicated group to have elected a successor, short enough that
 #: the baseline controller is definitely still dead
 WORKER_CRASH_DELAY_NS = ms(2)
-
-
-class _SoloController:
-    """Crash adapter so the injector drives a single controller too."""
-
-    def __init__(self, controller) -> None:
-        self.controller = controller
-
-    def crash(self, replica_id: int) -> None:
-        self.controller.crash()
-
-    def restart(self, replica_id: int) -> None:
-        self.controller.restart()
 
 
 @dataclass
@@ -157,12 +144,7 @@ def run_ha(
     handles = common.build_cluster(config, [events], rngs=rngs)
 
     group = handles.ctrl_group
-    if group is not None:
-        controllers = group
-        bound_ns = group.election_timeout_bound()
-    else:
-        controllers = _SoloController(handles.controller)
-        bound_ns = 0
+    bound_ns = group.election_timeout_bound() if group is not None else 0
     plan = FaultPlan(
         [
             ControllerCrash(
@@ -178,11 +160,14 @@ def run_ha(
     FaultInjector(
         handles.sim,
         plan,
-        handles.topology,
-        workers=handles.workers,
-        switch=handles.switch,
-        rng=rngs.stream("ha-injector"),
-        controllers=controllers,
+        SimTargets(
+            handles.sim,
+            handles.topology,
+            workers=handles.workers,
+            switch=handles.switch,
+            rng=rngs.stream("ha-injector"),
+            controllers=group or handles.controller,
+        ),
     ).arm()
 
     handles.sim.run(until=duration_ns + drain_ns)

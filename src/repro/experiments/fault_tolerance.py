@@ -27,13 +27,13 @@ import argparse
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.scheduler import DraconisProgram
 from repro.experiments import common
 from repro.experiments.parallel_runner import add_jobs_argument, parallel_map
 from repro.faults import (
     PLAN_KINDS,
     FaultInjector,
     FaultPlan,
+    SimTargets,
     event_end,
     event_start,
 )
@@ -204,27 +204,17 @@ def run_chaos(
         kind=kind,
     )
 
-    def standby_program() -> DraconisProgram:
-        # The paper's failover story: a standby switch with *empty*
-        # registers takes over; queued-but-unassigned tasks are lost and
-        # repaired by client resubmission (§3.3).
-        return DraconisProgram(
-            policy=config.policy,
-            queue_capacity=config.queue_capacity,
-            retrieve_mode=config.retrieve_mode,
-            queues_in_stages=config.queues_in_stages,
-            park_pulls=config.park_pulls,
-            pull_ttl_ns=config.pull_ttl_ns,
-        )
-
     injector = FaultInjector(
         handles.sim,
         plan,
-        handles.topology,
-        workers=handles.workers,
-        switch=handles.switch,
-        program_factory=standby_program,
-        rng=rngs.stream("chaos-injector"),
+        SimTargets(
+            handles.sim,
+            handles.topology,
+            workers=handles.workers,
+            switch=handles.switch,
+            program_factory=config.standby_program,
+            rng=rngs.stream("chaos-injector"),
+        ),
     ).arm()
 
     handles.sim.run(until=duration_ns + drain_ns)

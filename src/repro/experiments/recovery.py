@@ -33,10 +33,9 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.scheduler import DraconisProgram
 from repro.experiments import common
 from repro.experiments.parallel_runner import add_jobs_argument, parallel_map
-from repro.faults import FaultInjector, FaultPlan, SwitchFailover
+from repro.faults import FaultInjector, FaultPlan, SimTargets, SwitchFailover
 from repro.sim.core import ms
 from repro.sim.rng import RngStreams
 from repro.workloads import exponential, open_loop, rate_for_utilization
@@ -153,28 +152,18 @@ def run_recovery(
     handles = common.build_cluster(config, [events], rngs=rngs)
     program = handles.switch.program
 
-    def standby_program() -> DraconisProgram:
-        # Always *built* empty (a standby switch has no state of its own);
-        # the warm arm's CheckpointManager install hook replays the last
-        # checkpoint + journal into it before it sees a packet.
-        return DraconisProgram(
-            policy=config.policy,
-            queue_capacity=config.queue_capacity,
-            retrieve_mode=config.retrieve_mode,
-            queues_in_stages=config.queues_in_stages,
-            park_pulls=config.park_pulls,
-            pull_ttl_ns=config.pull_ttl_ns,
-        )
-
     plan = FaultPlan([SwitchFailover(at_ns=failover_at_ns)])
     FaultInjector(
         handles.sim,
         plan,
-        handles.topology,
-        workers=handles.workers,
-        switch=handles.switch,
-        program_factory=standby_program,
-        rng=rngs.stream("recovery-injector"),
+        SimTargets(
+            handles.sim,
+            handles.topology,
+            workers=handles.workers,
+            switch=handles.switch,
+            program_factory=config.standby_program,
+            rng=rngs.stream("recovery-injector"),
+        ),
     ).arm()
 
     at_risk = {"count": 0}

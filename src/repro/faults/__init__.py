@@ -10,10 +10,12 @@ package turns that claim into a testable subsystem:
   and recirculation exhaustion);
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, an ordered validated
   schedule, plus seed-reproducible randomized chaos plans;
-* :mod:`repro.faults.links` — the per-link hook (:class:`LinkChaos` +
-  :class:`Degradation`) behind :attr:`repro.net.link.Link.fault_hook`;
-* :mod:`repro.faults.injector` — :class:`FaultInjector`, which binds a
-  plan to a live cluster and fires it on the simulator clock.
+* :mod:`repro.faults.links` — the wire-fault model (:class:`Degradation`,
+  :func:`decide`, :func:`fuzz_parser`) and the per-link hook
+  (:class:`LinkChaos`) behind :attr:`repro.net.link.Link.fault_hook`;
+* :mod:`repro.faults.injector` — :class:`FaultInjector`, which fires a
+  plan on either clock, and :class:`SimTargets`, the simulated cluster
+  it acts on (the live one is :class:`repro.live.chaos.LiveTargets`).
 
 The ``repro.experiments.fault_tolerance`` chaos experiment and the
 conservation property tests are the primary consumers.
@@ -36,7 +38,7 @@ from repro.faults.events import (
 )
 from repro.faults.links import Degradation, LinkChaos, chaos_for
 from repro.faults.plan import PLAN_KINDS, FaultPlan, sample_ctrl_faults
-from repro.faults.injector import FaultInjector, FaultInjectorStats
+from repro.faults.injector import FaultInjector, FaultInjectorStats, SimTargets
 
 __all__ = [
     "ControllerCrash",
@@ -51,6 +53,7 @@ __all__ = [
     "PacketCorruption",
     "Partition",
     "RecircExhaustion",
+    "SimTargets",
     "SwitchFailover",
     "WorkerCrash",
     "WorkerSlowdown",

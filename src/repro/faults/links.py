@@ -1,21 +1,27 @@
-"""Per-link fault hook: windowed degradations applied to a live wire.
+"""The wire-fault model: what a degraded link does to one packet.
 
-:class:`LinkChaos` implements the :class:`repro.net.link.LinkFaultHook`
-contract. It holds a set of active :class:`Degradation`\\ s — each the
-live counterpart of one plan window — and rolls the dice per packet.
-Attach one per link; the injector adds/removes degradations as fault
-windows open and close, so the link itself never needs subclassing
-(the old test-local ``LossyLink`` hack this module replaces).
+A :class:`Degradation` is the live counterpart of one plan window
+(:func:`degradation_for`); :func:`decide` rolls the dice for one packet
+against the degradations active on its link and :func:`fuzz_parser`
+mutates a corrupted frame into the decoder. Both are pure functions of
+``(rng, degradations, packet)``, shared by the two runtimes:
+
+* the simulator attaches a :class:`LinkChaos`
+  (:class:`repro.net.link.LinkFaultHook`) per link and the injector
+  adds/removes degradations as windows open and close;
+* the live :class:`~repro.live.chaos.ChaosTransport` matches windows by
+  wall time per datagram and calls the same two functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
+from repro.faults.events import LinkFault, PacketCorruption, Partition
 from repro.net.link import Link, LinkFaultHook, SendDecision
 from repro.net.packet import Packet
 from repro.protocol import codec
@@ -58,6 +64,92 @@ class Degradation:
         return self.match is None or bool(self.match(packet))
 
 
+def degradation_for(event) -> Degradation:
+    """The degradation one wire-fault plan event puts on each of its links."""
+    if isinstance(event, LinkFault):
+        return Degradation(
+            loss_prob=event.loss_prob,
+            duplicate_prob=event.duplicate_prob,
+            reorder_prob=event.reorder_prob,
+            reorder_jitter_ns=event.reorder_jitter_ns,
+        )
+    if isinstance(event, PacketCorruption):
+        return Degradation(
+            corrupt_prob=event.corrupt_prob,
+            truncate_prob=event.truncate_prob,
+            max_bit_flips=event.max_bit_flips,
+        )
+    if isinstance(event, Partition):
+        return Degradation(loss_prob=1.0)
+    raise ConfigurationError(f"not a wire fault: {event!r}")
+
+
+def decide(
+    rng: np.random.Generator,
+    active: Sequence[Degradation],
+    packet: Any = None,
+) -> Tuple[Optional[SendDecision], Optional[Degradation]]:
+    """Roll the dice for one packet against the active degradations.
+
+    Returns the decision (``None`` = send unharmed) and, for a drop, the
+    degradation that caused it. The draw order — per degradation: loss,
+    corruption, duplication, reorder — is the replay contract of every
+    simulator artifact; the live transports follow it too.
+    """
+    decision: Optional[SendDecision] = None
+    for deg in active:
+        if not deg.applies_to(packet):
+            continue
+        if deg.loss_prob > 0 and rng.random() < deg.loss_prob:
+            deg.drops += 1
+            return SendDecision(drop=True), deg
+        if deg.corrupt_prob > 0 and rng.random() < deg.corrupt_prob:
+            deg.drops += 1
+            deg.corrupt_drops += 1
+            return SendDecision(drop=True, corrupt=True), deg
+        if decision is None:
+            decision = SendDecision()
+        if deg.duplicate_prob > 0 and rng.random() < deg.duplicate_prob:
+            decision.duplicate = True
+        if deg.reorder_prob > 0 and rng.random() < deg.reorder_prob:
+            decision.extra_delay_ns = max(
+                decision.extra_delay_ns,
+                int(rng.integers(1, max(2, deg.reorder_jitter_ns))),
+            )
+    if decision is not None and (
+        decision.duplicate or decision.extra_delay_ns > 0
+    ):
+        return decision, None
+    return None, None
+
+
+def fuzz_parser(
+    rng: np.random.Generator, deg: Degradation, frame: bytes
+) -> None:
+    """Mutate a corrupted frame's bytes and push them through the decoder.
+
+    Truncation with probability ``truncate_prob``, otherwise
+    1..``max_bit_flips`` bit-flips. ``ProtocolError`` — detected
+    corruption — is the normal outcome and is swallowed; any *other*
+    exception propagates: a decoder that crashes on garbage is the bug
+    this fault hunts for.
+    """
+    data = bytearray(frame)
+    if not data:
+        return
+    if rng.random() < deg.truncate_prob:
+        data = data[: int(rng.integers(0, len(data)))]
+    else:
+        flips = int(rng.integers(1, deg.max_bit_flips + 1))
+        for _ in range(flips):
+            bit = int(rng.integers(0, len(data) * 8))
+            data[bit // 8] ^= 1 << (bit % 8)
+    try:
+        codec.decode(bytes(data))
+    except ProtocolError:
+        pass
+
+
 class LinkChaos(LinkFaultHook):
     """Aggregates active degradations for one link."""
 
@@ -81,60 +173,17 @@ class LinkChaos(LinkFaultHook):
     def on_send(self, link: Link, packet: Packet) -> Optional[SendDecision]:
         if not self._active:
             return None
-        decision: Optional[SendDecision] = None
-        for deg in self._active:
-            if not deg.applies_to(packet):
-                continue
-            if deg.loss_prob > 0 and self.rng.random() < deg.loss_prob:
-                deg.drops += 1
-                return SendDecision(drop=True)
-            if deg.corrupt_prob > 0 and self.rng.random() < deg.corrupt_prob:
-                self._corrupt(deg, packet)
-                deg.drops += 1
-                deg.corrupt_drops += 1
-                return SendDecision(drop=True, corrupt=True)
-            if decision is None:
-                decision = SendDecision()
-            if deg.duplicate_prob > 0 and self.rng.random() < deg.duplicate_prob:
-                decision.duplicate = True
-            if deg.reorder_prob > 0 and self.rng.random() < deg.reorder_prob:
-                decision.extra_delay_ns = max(
-                    decision.extra_delay_ns,
-                    int(self.rng.integers(1, max(2, deg.reorder_jitter_ns))),
-                )
-        if decision is not None and (
-            decision.duplicate or decision.extra_delay_ns > 0
-        ):
-            return decision
-        return None
-
-    def _corrupt(self, deg: Degradation, packet: Packet) -> None:
-        """Mutate the frame's encoded bytes and fuzz the decoder with them.
-
-        Payloads that the protocol codec cannot encode (baseline
-        schedulers ship plain Python objects) have no byte representation
-        to mutate; the frame is simply counted as a corrupt drop.
-        """
-        try:
-            data = bytearray(codec.encode(packet.payload))
-        except ProtocolError:
-            return
-        if not data:
-            return
-        if self.rng.random() < deg.truncate_prob:
-            data = data[: int(self.rng.integers(0, len(data)))]
-        else:
-            flips = int(self.rng.integers(1, deg.max_bit_flips + 1))
-            for _ in range(flips):
-                bit = int(self.rng.integers(0, len(data) * 8))
-                data[bit // 8] ^= 1 << (bit % 8)
-        try:
-            codec.decode(bytes(data))
-        except ProtocolError:
-            # Detected corruption — the normal outcome. Any *other*
-            # exception propagates and fails the run: a decoder that
-            # crashes on garbage is the bug this fault hunts for.
-            pass
+        decision, culprit = decide(self.rng, self._active, packet)
+        if culprit is not None and decision.corrupt:
+            # Payloads the protocol codec cannot encode (baseline
+            # schedulers ship plain Python objects) have no bytes to
+            # mutate; the frame is simply counted as a corrupt drop.
+            try:
+                frame = codec.encode(packet.payload)
+            except ProtocolError:
+                return decision
+            fuzz_parser(self.rng, culprit, frame)
+        return decision
 
 
 def chaos_for(link: Link, sim: Simulator, rng=None) -> LinkChaos:

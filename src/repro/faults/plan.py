@@ -38,6 +38,52 @@ from repro.faults.events import (
 PLAN_KINDS = ("crash", "partition", "failover", "corrupt", "mixed")
 
 
+@dataclass(frozen=True)
+class PlanGrammar:
+    """The constants of :meth:`FaultPlan.fuzzed` that differ per runtime."""
+
+    #: most crash/restart cycles one burst puts on a node
+    crash_cycles_max: int
+    #: chance a cycle is a permanent (no-restart) crash, budget allowing
+    permanent_crash_prob: float
+    #: restart delay and the gap before the next cycle, as horizon fractions
+    restart_frac: Tuple[float, float]
+    gap_frac: Tuple[float, float]
+    #: ceiling of the WorkerSlowdown factor draw
+    slowdown_max: float
+    #: bounds of the per-LinkFault reorder-jitter draw; ``None`` draws
+    #: nothing and keeps the event's default
+    reorder_jitter_ns: Optional[Tuple[int, int]]
+    #: production weights in the order link fault, corruption, partition,
+    #: crash burst, slowdown, failover burst[, recirculation exhaustion]
+    weights: Tuple[float, ...]
+
+
+#: simulated time is free, so bursts are longer and slowdowns deeper
+SIM_GRAMMAR = PlanGrammar(
+    crash_cycles_max=3,
+    permanent_crash_prob=0.25,
+    restart_frac=(0.03, 0.15),
+    gap_frac=(0.01, 0.05),
+    slowdown_max=8.0,
+    reorder_jitter_ns=None,
+    weights=(0.20, 0.18, 0.15, 0.17, 0.12, 0.10, 0.08),
+)
+
+#: wall-clock runs: restarts leave a real socket time to re-register,
+#: reorder jitter is large enough for an event loop to notice, and there
+#: is no RecircExhaustion (the soft switch recirculates inline)
+LIVE_GRAMMAR = PlanGrammar(
+    crash_cycles_max=2,
+    permanent_crash_prob=0.2,
+    restart_frac=(0.05, 0.2),
+    gap_frac=(0.02, 0.08),
+    slowdown_max=6.0,
+    reorder_jitter_ns=(100_000, 5_000_000),
+    weights=(0.22, 0.18, 0.15, 0.20, 0.12, 0.13),
+)
+
+
 @dataclass
 class FaultPlan:
     """A validated, start-time-ordered schedule of fault events."""
@@ -206,6 +252,7 @@ class FaultPlan:
         worker_nodes: Sequence[int],
         worker_names: Optional[Sequence[str]] = None,
         max_events: int = 8,
+        grammar: PlanGrammar = SIM_GRAMMAR,
     ) -> "FaultPlan":
         """The chaos-fuzzer grammar: overlapping windows, bursts, corruption.
 
@@ -219,6 +266,12 @@ class FaultPlan:
         least one worker always survives (or restarts), and every window
         closes inside the middle 60% of the horizon, leaving room to
         drain.
+
+        ``grammar`` holds the constants that differ per runtime
+        (:data:`SIM_GRAMMAR`, :data:`LIVE_GRAMMAR`); ``worker_names`` are
+        the wire-fault targets. The draw order is part of the replay
+        contract: a seed's plan is pinned byte for byte by
+        ``tests/test_plan_codec.py``.
         """
         if not worker_nodes:
             raise ConfigurationError("fuzzed plan needs worker nodes")
@@ -234,6 +287,9 @@ class FaultPlan:
 
         def when() -> int:
             return int(rng.integers(lo, hi))
+
+        def span(frac: Tuple[float, float]) -> int:
+            return int(rng.integers(horizon_ns * frac[0], horizon_ns * frac[1]))
 
         def window(max_frac: float = 0.2) -> Tuple[int, int]:
             start = when()
@@ -254,14 +310,14 @@ class FaultPlan:
 
         def crash_burst() -> List[object]:
             node = int(rng.choice(nodes))
-            cycles = int(rng.integers(1, 4))
+            cycles = int(rng.integers(1, grammar.crash_cycles_max + 1))
             out: List[object] = []
             at = when()
             for _ in range(cycles):
                 if at >= hi:
                     break
                 permanent = (
-                    rng.random() < 0.25
+                    rng.random() < grammar.permanent_crash_prob
                     and state["permanent_budget"] > 0
                     and node not in permanently_dead
                 )
@@ -274,9 +330,7 @@ class FaultPlan:
                     state["permanent_budget"] -= 1
                     permanently_dead.add(node)
                     break
-                restart = int(
-                    rng.integers(horizon_ns * 0.03, horizon_ns * 0.15)
-                )
+                restart = span(grammar.restart_frac)
                 out.append(
                     WorkerCrash(
                         at_ns=at, node_id=node, restart_after_ns=restart
@@ -284,23 +338,24 @@ class FaultPlan:
                 )
                 # Next cycle strictly after the restart lands, so the
                 # injector never crashes an already-crashed worker.
-                at = at + restart + int(
-                    rng.integers(horizon_ns * 0.01, horizon_ns * 0.05)
-                )
+                at = at + restart + span(grammar.gap_frac)
             return out
 
         def link_fault() -> List[object]:
             start, end = window()
-            return [
-                LinkFault(
-                    start_ns=start,
-                    end_ns=end,
-                    nodes=maybe_target(),
-                    loss_prob=float(rng.uniform(0.0, 0.2)),
-                    duplicate_prob=float(rng.uniform(0.0, 0.08)),
-                    reorder_prob=float(rng.uniform(0.0, 0.15)),
+            fault = dict(
+                start_ns=start,
+                end_ns=end,
+                nodes=maybe_target(),
+                loss_prob=float(rng.uniform(0.0, 0.2)),
+                duplicate_prob=float(rng.uniform(0.0, 0.08)),
+                reorder_prob=float(rng.uniform(0.0, 0.15)),
+            )
+            if grammar.reorder_jitter_ns is not None:
+                fault["reorder_jitter_ns"] = int(
+                    rng.integers(*grammar.reorder_jitter_ns)
                 )
-            ]
+            return [LinkFault(**fault)]
 
         def corruption() -> List[object]:
             start, end = window()
@@ -332,7 +387,7 @@ class FaultPlan:
                     start_ns=start,
                     end_ns=end,
                     node_id=int(rng.choice(nodes)),
-                    factor=float(rng.uniform(1.5, 8.0)),
+                    factor=float(rng.uniform(1.5, grammar.slowdown_max)),
                 )
             ]
 
@@ -352,6 +407,8 @@ class FaultPlan:
                 )
             ]
 
+        # grammar.weights pairs with this order; a grammar with six
+        # weights has no RecircExhaustion production
         productions = (
             link_fault,
             corruption,
@@ -360,8 +417,8 @@ class FaultPlan:
             slowdown,
             failover_burst,
             recirc,
-        )
-        weights = np.array([0.20, 0.18, 0.15, 0.17, 0.12, 0.10, 0.08])
+        )[: len(grammar.weights)]
+        weights = np.array(grammar.weights)
         weights = weights / weights.sum()
         target = int(rng.integers(1, max_events + 1))
         events: List[object] = []

@@ -23,15 +23,14 @@ deviations isolate the things a simulator cannot model (timer
 granularity, socket buffers, real packet loss).
 """
 
-from repro.live.base import WallClock
+from repro.live.base import WallClock, WallTimers
 from repro.live.chaos import (
     ChaosNet,
     ChaosRunResult,
     ChaosScenario,
     ChaosTransport,
-    LiveFaultInjector,
+    LiveTargets,
     run_live_chaos,
-    sample_live_plan,
     sample_scenario,
 )
 from repro.live.client import LiveClient, LiveClientConfig
@@ -51,14 +50,14 @@ __all__ = [
     "LiveClientConfig",
     "LiveExecutor",
     "LiveExecutorConfig",
-    "LiveFaultInjector",
     "LiveResult",
     "LiveSpec",
+    "LiveTargets",
     "OpenLoopGen",
     "SoftSwitch",
     "WallClock",
+    "WallTimers",
     "run_live",
     "run_live_chaos",
-    "sample_live_plan",
     "sample_scenario",
 ]

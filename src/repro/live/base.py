@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import inspect
 import socket
 import time
-from typing import Optional, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 from repro.net.packet import Address
 
@@ -35,6 +38,86 @@ class WallClock:
     @property
     def now(self) -> int:
         return time.monotonic_ns() - self.t0
+
+
+class WallTimers:
+    """The simulator's scheduling surface, on the asyncio clock.
+
+    Code written against ``sim.now`` / ``sim.call_at_cancellable`` /
+    ``sim.timeout`` + ``sim.spawn`` — the fault injector, the oracle's
+    sampler, ``ctrl.CheckpointManager`` — runs on wall time through this
+    object without knowing it left the simulator. Every timer and task
+    it starts is tracked: :meth:`idle` answers "is anything still
+    scheduled" for quiescence checks, :meth:`close` / :meth:`aclose`
+    leave nothing behind on the loop.
+    """
+
+    def __init__(self, clock: Any, loop: Any = None) -> None:
+        self.clock = clock
+        #: ``None`` = the running loop at call time (tests pass a fake)
+        self._loop = loop
+        self._timers: Set[Any] = set()
+        self._tasks: List[Any] = []
+
+    @property
+    def now(self) -> int:
+        return self.clock.now
+
+    def call_at_cancellable(
+        self, when_ns: int, callback: Callable[..., None], *args: Any
+    ):
+        """Schedule ``callback(*args)`` at clock time ``when_ns``."""
+        loop = self._loop or asyncio.get_running_loop()
+        handle = None
+
+        def fire() -> None:
+            self._timers.discard(handle)
+            callback(*args)
+
+        handle = loop.call_later(max(0, when_ns - self.clock.now) / 1e9, fire)
+        self._timers.add(handle)
+        return handle
+
+    def timeout(self, delay_ns: int) -> int:
+        """What a spawned generator yields to sleep ``delay_ns``."""
+        return delay_ns
+
+    def spawn(self, work: Any, name: Optional[str] = None):
+        """Run a coroutine, or a generator of :meth:`timeout` delays."""
+        loop = self._loop or asyncio.get_running_loop()
+        if not inspect.iscoroutine(work):
+            work = self._drive(work)
+        task = loop.create_task(work, name=name)
+        self._tasks.append(task)
+        return task
+
+    @staticmethod
+    async def _drive(gen) -> None:
+        for delay_ns in gen:
+            await asyncio.sleep(delay_ns / 1e9)
+
+    def pending(self) -> int:
+        """Timers scheduled and neither fired nor cancelled."""
+        return sum(1 for handle in self._timers if not handle.cancelled())
+
+    def idle(self) -> bool:
+        """No timer pending and every spawned task finished."""
+        return self.pending() == 0 and all(t.done() for t in self._tasks)
+
+    def close(self) -> None:
+        for handle in self._timers:
+            handle.cancel()
+        self._timers.clear()
+        for task in self._tasks:
+            task.cancel()
+
+    async def aclose(self) -> None:
+        """:meth:`close`, then await the cancelled tasks off the loop."""
+        self.close()
+        for task in self._tasks:
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
+        self._tasks.clear()
 
 
 class Counters(dict):

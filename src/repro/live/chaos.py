@@ -1,37 +1,36 @@
 """Live chaos: seeded fault injection for the real-socket runtime.
 
-The simulator's chaos fuzzer (PR 6) exercises every recovery path —
-bounce backoff, resubmit watchdogs, re-register epochs, credit resync,
-checkpoint failover — against a *modelled* network. This module points
-the same :class:`~repro.faults.plan.FaultPlan` window grammar at the
-actual dataplane:
+The chaos stack (plan grammar, injector, wire-fault model, oracle) is
+shared with the simulator; this module is the live runtime's side of its
+three contracts (DESIGN.md §5b):
 
 * **wire faults** — :class:`ChaosTransport` wraps the asyncio datagram
   transports of :class:`~repro.live.softswitch.SoftSwitch`,
-  :class:`~repro.live.executor.LiveExecutor` and
-  :class:`~repro.live.client.LiveClient`, injecting loss, duplication,
-  reorder/delay jitter, bit corruption and burst blackouts on the send
-  side. Every datagram is *somebody's* send, so wrapping all three
-  components covers both directions of every link: a fault window naming
-  ``exec0`` matches packets exec0 sends (its own transport) *and*
-  packets the switch sends to exec0's endpoint (the switch's transport,
-  matched through the endpoint registry).
-* **process faults** — :class:`LiveFaultInjector` schedules
-  ``WorkerCrash`` (kill + restart on a *new socket*, exercising the
+  :class:`~repro.live.executor.LiveExecutor`,
+  :class:`~repro.live.client.LiveClient` and the controller replicas. It
+  matches each datagram against the plan's open windows on the link it
+  travels and hands the verdict to the shared model
+  (:func:`repro.faults.links.decide` / ``fuzz_parser``): loss,
+  duplication, reorder/delay jitter, blackouts, and corruption under the
+  FCS model — a mutated frame is a parser fuzz, then *always dropped*.
+  Every datagram is *somebody's* send, so wrapping every component
+  covers both directions of every link; a link is named by its
+  non-switch end.
+* **targets** — :class:`LiveTargets` is what the shared
+  :class:`~repro.faults.injector.FaultInjector` acts on: ``WorkerCrash``
+  kills an executor and restarts it on a *new socket* (exercising the
   epoch-bump / endpoint-move re-register path for real),
-  ``WorkerSlowdown`` (scales the executor's ``time_scale``) and
-  ``SwitchFailover`` (swaps in :meth:`SoftSwitch.standby_program`, with
-  :class:`~repro.ctrl.checkpoint.CheckpointManager` replaying
-  checkpoint + journal so queued tasks survive).
-* **corruption is the FCS model** — mutated frames are pushed through
-  ``codec.decode`` as a parser fuzz (only ``ProtocolError`` is an
-  acceptable outcome) and then *always dropped*, exactly like the
-  simulator's :class:`~repro.faults.links.LinkChaos`; a codec without
-  checksums must never deliver a mutated frame that decodes to a
-  plausible message.
+  ``WorkerSlowdown`` scales its ``time_scale``, ``SwitchFailover`` swaps
+  in :meth:`SoftSwitch.standby_program` (with
+  :class:`~repro.ctrl.checkpoint.CheckpointManager` replaying checkpoint
+  + journal so queued tasks survive), ``ControllerCrash`` kills a
+  replica.
+* **scenarios** — :func:`sample_scenario` draws a recoverable
+  :class:`ChaosScenario` from a seed and :func:`run_live_chaos` runs it
+  under the shared :class:`~repro.verify.oracle.InvariantOracle`.
 
-All randomness comes from one named :class:`~repro.sim.rng.RngStreams`
-stream, so a scenario's *decisions* (which packet dropped, which bits
+All randomness comes from named :class:`~repro.sim.rng.RngStreams`
+streams, so a scenario's *decisions* (which packet dropped, which bits
 flipped) replay deterministically from its seed; wall-clock interleaving
 is the one thing that cannot (see DESIGN.md §9.4).
 """
@@ -39,51 +38,43 @@ is the one thing that cannot (see DESIGN.md §9.4).
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.policies import PriorityPolicy
 from repro.ctrl.checkpoint import CheckpointManager
-from repro.errors import ConfigurationError, LiveTimeoutError, ProtocolError
 from repro.faults.events import (
     ControllerCrash,
     LinkFault,
     PacketCorruption,
     Partition,
-    SwitchFailover,
-    WorkerCrash,
-    WorkerSlowdown,
+    RecircExhaustion,
     event_end,
 )
-from repro.faults.plan import FaultPlan, sample_ctrl_faults
-from repro.live.base import Counters, Endpoint
+from repro.faults.injector import FaultInjector
+from repro.faults.links import Degradation, decide, degradation_for, fuzz_parser
+from repro.faults.plan import LIVE_GRAMMAR, FaultPlan, sample_ctrl_faults
+from repro.live.base import Counters, Endpoint, WallTimers
 from repro.live.client import LiveClient, LiveClientConfig
 from repro.live.ctrlplane import LiveControllerReplica, ctrl_name
-from repro.live.executor import LiveExecutor, LiveExecutorConfig
 from repro.live.loadgen import OpenLoopGen
 from repro.live.results import LiveResult
-from repro.live.runtime import LiveSpec, _collect, diagnostic_dump
+from repro.live.runtime import (
+    CLIENT_NAME,
+    SWITCH_NAME,
+    LiveCluster,
+    LiveSpec,
+    exec_name,
+)
 from repro.live.softswitch import SoftSwitch
-from repro.protocol import codec
 from repro.sim.rng import RngStreams
-from repro.verify.live_oracle import LiveInvariantOracle
-from repro.verify.oracle import Violation
+from repro.verify.evidence import LiveEvidence
+from repro.verify.fuzzer import ScenarioCodec
+from repro.verify.oracle import InvariantOracle, Violation
 
 #: wire-fault windows the transport layer matches at send time
 _WIRE_FAULTS = (LinkFault, PacketCorruption, Partition)
-
-
-def exec_name(executor_id: int) -> str:
-    """The fault-plan node name of one live executor."""
-    return f"exec{executor_id}"
-
-
-CLIENT_NAME = "client"
-SWITCH_NAME = "switch"
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +85,12 @@ SWITCH_NAME = "switch"
 class ChaosNet:
     """Shared state for every :class:`ChaosTransport` in one run.
 
-    Holds the plan, the seeded RNG, the chaos clock origin (``arm()`` at
-    workload start — fault windows are nanoseconds relative to it, the
-    same convention the simulator's injector uses), and the endpoint →
-    component-name registry that lets the switch's transport attribute an
-    outgoing packet to the link it will travel.
+    Holds the plan's wire-fault windows (each with the
+    :class:`~repro.faults.links.Degradation` it puts on a link), the
+    seeded RNG, the chaos clock origin (``arm()`` at workload start —
+    fault windows are nanoseconds relative to it, the same convention the
+    injector uses), and the endpoint → component-name registry that lets
+    any transport name the link an outgoing packet will travel.
     """
 
     def __init__(
@@ -107,20 +99,23 @@ class ChaosNet:
         rng: np.random.Generator,
         clock,
     ) -> None:
-        self.plan = plan
         self.rng = rng
         self.clock = clock
         self.counters = Counters()
         self.endpoints: Dict[Endpoint, str] = {}
         self.transports: List["ChaosTransport"] = []
+        #: links on which a datagram was dropped, duplicated or delayed
+        #: (or whose component was killed): their credit accounting may
+        #: hold leaks, so the oracle's in-flight bound skips them
+        self.disturbed: Set[str] = set()
         self._t0: Optional[int] = None
-        self._wire: Dict[type, list] = {cls: [] for cls in _WIRE_FAULTS}
-        for event in plan:
-            if event.__class__ in self._wire:
-                self._wire[event.__class__].append(event)
-        self._last_end_ns = max(
-            (event_end(e) for e in plan.events), default=0
-        )
+        self._windows: List[Tuple[Any, Degradation]] = [
+            (event, degradation_for(event))
+            for event in plan
+            if isinstance(event, _WIRE_FAULTS)
+        ]
+        #: when the plan's last fault window ends (chaos-clock ns)
+        self.last_end_ns = max((event_end(e) for e in plan.events), default=0)
 
     def arm(self) -> None:
         """Start the chaos clock; fault windows count from here."""
@@ -137,41 +132,67 @@ class ChaosNet:
 
     def windows_closed(self) -> bool:
         """True once every fault window in the plan has ended."""
-        return self.armed and self.elapsed_ns() >= self._last_end_ns
-
-    def last_end_ns(self) -> int:
-        return self._last_end_ns
+        return self.armed and self.elapsed_ns() >= self.last_end_ns
 
     def register_endpoint(self, name: str, endpoint: Endpoint) -> None:
         self.endpoints[endpoint] = name
 
-    def link_name(self, sender: str, addr) -> str:
-        """Which link a packet travels: the remote end if known, else
-        the sender's own cable (connected sockets pass ``addr=None``)."""
-        if addr is None:
-            return sender
-        return self.endpoints.get((addr[0], addr[1]), sender)
+    def link_names(self, sender: str, addr) -> Tuple[str, ...]:
+        """Which links a packet crosses, each named by its non-switch end.
 
-    def active(self, cls: type, link: str) -> list:
-        """Fault windows of ``cls`` currently open on ``link``."""
+        Everything is cabled to the switch, so a packet to or from it
+        crosses one link — the other party's (connected sockets pass
+        ``addr=None`` and only ever talk to the switch). Controller
+        peer-to-peer sync crosses both peers' links. An unregistered
+        destination leaves only window-wide (``nodes=None``) faults.
+        """
+        remote = None if addr is None else self.endpoints.get((addr[0], addr[1]))
+        return tuple(
+            name
+            for name in (sender, remote)
+            if name is not None and name != SWITCH_NAME
+        )
+
+    def active(self, links: Tuple[str, ...]) -> List[Degradation]:
+        """Degradations whose window is open on any of ``links``."""
         now = self.elapsed_ns()
-        if now < 0:
-            return []
-        out = []
-        for event in self._wire[cls]:
-            if not event.start_ns <= now < event.end_ns:
-                continue
-            nodes = event.nodes
-            if nodes is None or link in nodes:
-                out.append(event)
-        return out
+        return [
+            degradation
+            for event, degradation in self._windows
+            if event.start_ns <= now < event.end_ns
+            and (
+                event.nodes is None
+                or any(link in event.nodes for link in links)
+            )
+        ]
+
+    def count_drop(self, corrupt: bool, culprit: Degradation, data: bytes) -> None:
+        """Account one dropped datagram; a corrupted one fuzzes the parser.
+
+        The FCS model: the mutated frame never reaches the peer (a real
+        NIC discards a frame whose checksum fails), but decoding it is a
+        free protocol-parser fuzz — anything but ``ProtocolError`` out of
+        the codec is a bug the oracle flags.
+        """
+        if corrupt:
+            try:
+                fuzz_parser(self.rng, culprit, data)
+            except Exception:
+                self.counters.incr("parser_crashes")
+            self.counters.incr("corrupt_drops")
+        elif any(
+            d is culprit and isinstance(e, Partition) for e, d in self._windows
+        ):
+            self.counters.incr("partition_drops")
+        else:
+            self.counters.incr("loss_drops")
 
     def wrap(self, name: str) -> Callable:
         """A ``transport_wrap`` factory for one named component.
 
-        Registers the transport's local endpoint under ``name`` (so the
-        switch's sends toward it are attributed to the same link) and
-        returns the wrapping :class:`ChaosTransport`.
+        Registers the transport's local endpoint under ``name`` (so
+        sends toward it are attributed to the same link) and returns the
+        wrapping :class:`ChaosTransport`.
         """
 
         def factory(transport) -> "ChaosTransport":
@@ -186,116 +207,63 @@ class ChaosNet:
 
     def pending_delayed(self) -> int:
         """Reorder-delayed packets not yet released (quiescence check)."""
-        return sum(len(t._delayed) for t in self.transports)
+        return sum(t.delayed.pending() for t in self.transports)
 
 
 class ChaosTransport:
     """A fault-injecting façade over one ``asyncio.DatagramTransport``.
 
     Injection is send-side only — sufficient because every packet is
-    someone's send — and per-packet decisions draw from the shared
-    seeded RNG in plan order: blackout (Partition) first, then
-    corruption, then loss/duplication/reorder.
+    someone's send. What happens to a datagram is decided by the shared
+    wire-fault model from the shared seeded RNG; this class only finds
+    the open windows on the packet's link and releases delayed copies.
     """
 
     def __init__(self, net: ChaosNet, name: str, inner) -> None:
         self.net = net
         self.name = name
         self.inner = inner
-        self._delayed: Set[asyncio.TimerHandle] = set()
+        self.delayed = WallTimers(net.clock)
         self._closing = False
-
-    # -- the injection point ----------------------------------------------
 
     def sendto(self, data: bytes, addr=None) -> None:
         net = self.net
         if not net.armed:
             self.inner.sendto(data, addr)
             return
-        link = net.link_name(self.name, addr)
-        if net.active(Partition, link):
-            net.counters.incr("partition_drops")
-            return
-        for fault in net.active(PacketCorruption, link):
-            if net.rng.random() < fault.corrupt_prob:
-                self._corrupt(data, fault)
-                return
-        duplicate = False
-        delay_ns = 0
-        for fault in net.active(LinkFault, link):
-            if fault.loss_prob and net.rng.random() < fault.loss_prob:
-                net.counters.incr("loss_drops")
-                return
-            if (
-                fault.duplicate_prob
-                and net.rng.random() < fault.duplicate_prob
-            ):
-                duplicate = True
-            if fault.reorder_prob and net.rng.random() < fault.reorder_prob:
-                delay_ns = max(
-                    delay_ns,
-                    int(net.rng.uniform(0, fault.reorder_jitter_ns)),
-                )
-        if delay_ns > 0:
-            net.counters.incr("reorder_delays")
-            self._send_later(delay_ns / 1e9, data, addr)
-            if duplicate:
-                net.counters.incr("wire_duplicates")
-                self._send_later(delay_ns / 1e9, data, addr)
-            return
-        self.inner.sendto(data, addr)
-        if duplicate:
-            net.counters.incr("wire_duplicates")
+        links = net.link_names(self.name, addr)
+        decision, culprit = decide(net.rng, net.active(links))
+        if decision is None:
             self.inner.sendto(data, addr)
-
-    def _corrupt(self, data: bytes, fault: PacketCorruption) -> None:
-        """Mutate, fuzz the parser with the result, drop the frame.
-
-        Matches the simulator's FCS model bit for bit in spirit: the
-        decode attempt is a free protocol-parser fuzz (anything but
-        ``ProtocolError`` out of the codec is a bug the oracle flags),
-        and the frame never reaches the peer — a real NIC discards a
-        frame whose checksum fails.
-        """
-        net = self.net
-        rng = net.rng
-        blob = bytearray(data)
-        if len(blob) > 1 and rng.random() < fault.truncate_prob:
-            blob = blob[: int(rng.integers(1, len(blob)))]
-        else:
-            for _ in range(int(rng.integers(1, fault.max_bit_flips + 1))):
-                pos = int(rng.integers(0, len(blob)))
-                blob[pos] ^= 1 << int(rng.integers(0, 8))
-        try:
-            codec.decode(bytes(blob))
-        except ProtocolError:
-            pass
-        except Exception:
-            net.counters.incr("parser_crashes")
-        net.counters.incr("corrupt_drops")
-
-    def _send_later(self, delay_s: float, data: bytes, addr) -> None:
-        if self._closing:
             return
-        loop = asyncio.get_running_loop()
-        handle: Optional[asyncio.TimerHandle] = None
-
-        def fire() -> None:
-            if handle is not None:
-                self._delayed.discard(handle)
-            if not self._closing and not self.inner.is_closing():
+        net.disturbed.update(links)
+        if decision.drop:
+            net.count_drop(decision.corrupt, culprit, data)
+            return
+        copies = 1
+        if decision.duplicate:
+            net.counters.incr("wire_duplicates")
+            copies = 2
+        if decision.extra_delay_ns > 0:
+            net.counters.incr("reorder_delays")
+            when_ns = net.clock.now + decision.extra_delay_ns
+            for _ in range(copies):
+                self.delayed.call_at_cancellable(
+                    when_ns, self._release, data, addr
+                )
+        else:
+            for _ in range(copies):
                 self.inner.sendto(data, addr)
 
-        handle = loop.call_later(delay_s, fire)
-        self._delayed.add(handle)
+    def _release(self, data: bytes, addr) -> None:
+        if not self._closing and not self.inner.is_closing():
+            self.inner.sendto(data, addr)
 
     # -- transport façade --------------------------------------------------
 
     def close(self) -> None:
         self._closing = True
-        for handle in self._delayed:
-            handle.cancel()
-        self._delayed.clear()
+        self.delayed.close()
         self.inner.close()
 
     def is_closing(self) -> bool:
@@ -303,9 +271,7 @@ class ChaosTransport:
 
     def abort(self) -> None:
         self._closing = True
-        for handle in self._delayed:
-            handle.cancel()
-        self._delayed.clear()
+        self.delayed.close()
         self.inner.abort()
 
     def get_extra_info(self, name: str, default=None):
@@ -317,206 +283,87 @@ class ChaosTransport:
 # ---------------------------------------------------------------------------
 
 
-class _WallSim:
-    """Duck-types the simulator surface ``CheckpointManager`` drives.
+class LiveTargets:
+    """The live cluster as the shared fault injector sees it.
 
-    The manager reads ``sim.now``, yields ``sim.timeout(ns)`` from its
-    checkpoint loop, and hands that generator to ``sim.spawn``. Here
-    ``timeout`` returns the delay itself and the spawned driver awaits
-    it on the asyncio clock — the manager's code runs unmodified against
-    wall time.
-    """
-
-    def __init__(self, clock) -> None:
-        self.clock = clock
-        self._tasks: List[asyncio.Task] = []
-
-    @property
-    def now(self) -> int:
-        return self.clock.now
-
-    def timeout(self, delay_ns: int) -> int:
-        return delay_ns
-
-    def spawn(self, gen, name: Optional[str] = None) -> asyncio.Task:
-        task = asyncio.get_running_loop().create_task(
-            self._drive(gen), name=name
-        )
-        self._tasks.append(task)
-        return task
-
-    async def _drive(self, gen) -> None:
-        for delay_ns in gen:
-            await asyncio.sleep(delay_ns / 1e9)
-
-    async def aclose(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._tasks.clear()
-
-
-class LiveFaultInjector:
-    """Schedules process-level faults from a plan onto the event loop.
-
-    Wire faults (loss, corruption, blackouts) are matched per packet by
-    :class:`ChaosNet`; this injector owns the faults that need a hand on
-    a component: executor kill/restart, slowdown windows, and switch
-    failover. ``arm()`` converts every event's plan-relative time into a
-    ``call_later`` against the armed chaos clock.
+    Implements the *targets* contract documented on
+    :class:`repro.faults.injector.SimTargets`. Killed components are not
+    resurrected in place: a restart builds a new incarnation on a new
+    socket and starts it on ``timers`` (the injector's own
+    :class:`~repro.live.base.WallTimers`, so "every restart finished" is
+    part of its ``idle()``).
     """
 
     def __init__(
         self,
-        plan: FaultPlan,
-        switch: SoftSwitch,
-        executors: Dict[int, LiveExecutor],
-        make_executor: Callable[[int], LiveExecutor],
-        base_time_scale: float = 1.0,
-        controllers: Optional[Dict[int, LiveControllerReplica]] = None,
-        make_controller: Optional[
-            Callable[[int], LiveControllerReplica]
-        ] = None,
+        timers: WallTimers,
+        cluster: LiveCluster,
+        chaos: ChaosNet,
+        controllers: Dict[int, LiveControllerReplica],
+        make_controller: Callable[[int], LiveControllerReplica],
     ) -> None:
-        self.plan = plan
-        self.switch = switch
-        self.executors = executors
-        self.make_executor = make_executor
-        self.base_time_scale = base_time_scale
-        self.controllers = controllers if controllers is not None else {}
+        self.timers = timers
+        self.cluster = cluster
+        self.chaos = chaos
+        self.controllers = controllers
         self.make_controller = make_controller
-        self.counters = Counters()
-        #: killed incarnations, kept for counter/histogram aggregation
-        self.retired: List[LiveExecutor] = []
+        #: killed replicas, kept for stats and teardown
         self.ctrl_retired: List[LiveControllerReplica] = []
-        self._timers: Set[asyncio.TimerHandle] = set()
-        self._tasks: List[asyncio.Task] = []
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
-    def arm(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        for event in self.plan:
-            cls = event.__class__
-            if cls is WorkerCrash:
-                self._at(event.at_ns, self._crash, event)
-                if event.restart_after_ns is not None:
-                    self._at(
-                        event.at_ns + event.restart_after_ns,
-                        self._restart,
-                        event.node_id,
-                    )
-            elif cls is WorkerSlowdown:
-                self._at(event.start_ns, self._slow, event)
-                self._at(event.end_ns, self._restore_speed, event.node_id)
-            elif cls is SwitchFailover:
-                self._at(event.at_ns, self._failover)
-            elif cls is ControllerCrash:
-                if self.controllers:
-                    self._at(event.at_ns, self._ctrl_crash, event)
-                    if event.restart_after_ns is not None:
-                        self._at(
-                            event.at_ns + event.restart_after_ns,
-                            self._ctrl_restart,
-                            event.replica_id,
-                        )
-                else:
-                    self.counters.incr("unsupported_events")
-            elif cls in _WIRE_FAULTS:
-                pass  # window-matched per packet by ChaosNet
-            else:
-                # e.g. RecircExhaustion: the soft switch recirculates
-                # inline, there is no backlog queue to shrink. Counted so
-                # a plan that expected it to bite is visibly a no-op.
-                self.counters.incr("unsupported_events")
+    def check(self, event) -> bool:
+        if isinstance(event, RecircExhaustion):
+            # the soft switch recirculates inline: no backlog queue to shrink
+            return False
+        if isinstance(event, ControllerCrash):
+            return bool(self.controllers)
+        return True
 
-    def _at(self, at_ns: int, fn, *args) -> None:
-        assert self._loop is not None
-        handle: Optional[asyncio.TimerHandle] = None
+    def crash(self, node_id: int) -> None:
+        executor = self.cluster.executors.get(node_id)
+        if executor is not None and not executor.closed:
+            self.cluster.retired.append(executor)
+            self.chaos.disturbed.add(exec_name(node_id))
+            executor.kill()
 
-        def fire() -> None:
-            if handle is not None:
-                self._timers.discard(handle)
-            fn(*args)
-
-        handle = self._loop.call_later(at_ns / 1e9, fire)
-        self._timers.add(handle)
-
-    def _crash(self, event: WorkerCrash) -> None:
-        executor = self.executors.get(event.node_id)
-        if executor is None or executor.closed:
-            self.counters.incr("crash_skipped")
-            return
-        self.counters.incr("crashes")
-        self.retired.append(executor)
-        executor.kill()
-
-    def _restart(self, node_id: int) -> None:
-        self.counters.incr("restarts")
+    def restart(self, node_id: int) -> None:
         # A fresh socket: the OS hands out a new ephemeral port, so the
         # re-register is also an endpoint move — the switch must bump the
         # epoch and re-home the record, or completions go to a dead port.
-        executor = self.make_executor(node_id)
-        self.executors[node_id] = executor
-        assert self._loop is not None
-        self._tasks.append(self._loop.create_task(executor.start()))
+        executor = self.cluster.make_executor(node_id)
+        self.cluster.executors[node_id] = executor
+        self.timers.spawn(executor.start())
 
-    def _slow(self, event: WorkerSlowdown) -> None:
-        executor = self.executors.get(event.node_id)
-        if executor is not None and not executor.closed:
-            self.counters.incr("slowdowns")
-            executor.config.time_scale = self.base_time_scale * event.factor
-
-    def _restore_speed(self, node_id: int) -> None:
-        # Absolute restore (not division): idempotent across overlapping
-        # windows and across a crash/restart that replaced the incarnation
-        # mid-window with a base-speed config.
-        executor = self.executors.get(node_id)
+    def set_speed(self, node_id: int, factor: float) -> None:
+        executor = self.cluster.executors.get(node_id)
         if executor is not None:
-            executor.config.time_scale = self.base_time_scale
+            executor.config.time_scale = factor
 
-    def _failover(self) -> None:
-        self.counters.incr("failovers")
-        self.switch.install_program(self.switch.standby_program())
+    def failover(self) -> None:
+        switch = self.cluster.switch
+        switch.install_program(switch.standby_program())
 
-    def _ctrl_crash(self, event: ControllerCrash) -> None:
-        replica = self.controllers.get(event.replica_id)
-        if replica is None or replica.closed:
-            self.counters.incr("ctrl_crash_skipped")
-            return
-        self.counters.incr("ctrl_crashes")
-        self.ctrl_retired.append(replica)
-        replica.kill()
+    def ctrl_crash(self, replica_id: int) -> None:
+        replica = self.controllers.get(replica_id)
+        if replica is not None and not replica.closed:
+            self.ctrl_retired.append(replica)
+            replica.kill()
 
-    def _ctrl_restart(self, replica_id: int) -> None:
-        if self.make_controller is None:
-            return
-        self.counters.incr("ctrl_restarts")
+    def ctrl_restart(self, replica_id: int) -> None:
         # Fresh socket, fresh incarnation: the replica rejoins as a
         # follower at term 0 and relearns the current term from acks and
         # peer sync — it must never be granted a stale term again (the
         # register only moves forward).
         replica = self.make_controller(replica_id)
         self.controllers[replica_id] = replica
-        assert self._loop is not None
-        self._tasks.append(self._loop.create_task(replica.start()))
+        self.timers.spawn(replica.start())
 
-    def idle(self) -> bool:
-        """No fault is still scheduled or mid-restart (quiescence)."""
-        return not self._timers and all(t.done() for t in self._tasks)
+    def wire(self, event) -> None:
+        """Nothing to schedule: :class:`ChaosNet` matches the plan's wire
+        windows against the chaos clock per datagram."""
+        return None
 
-    async def aclose(self) -> None:
-        for handle in self._timers:
-            handle.cancel()
-        self._timers.clear()
-        for task in self._tasks:
-            if not task.done():
-                task.cancel()
-        for task in self._tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._tasks.clear()
+    def injected_totals(self) -> Dict[str, int]:
+        return dict(self.chaos.counters)
 
 
 # ---------------------------------------------------------------------------
@@ -524,151 +371,8 @@ class LiveFaultInjector:
 # ---------------------------------------------------------------------------
 
 
-def sample_live_plan(
-    rng: np.random.Generator,
-    horizon_ns: int,
-    executor_ids: Sequence[int],
-    max_events: int = 5,
-) -> FaultPlan:
-    """The live chaos grammar: every fault the dataplane can express.
-
-    A trimmed :meth:`FaultPlan.fuzzed`: same recoverability guardrails
-    (windows close inside the middle 60% of the horizon; permanent
-    crashes are budgeted so at least one executor always survives), node
-    names follow the live convention (``exec{i}``, plus ``client`` as a
-    wire-fault target), and ``RecircExhaustion`` is excluded — the soft
-    switch recirculates inline and has no backlog queue to shrink.
-    """
-    if not executor_ids:
-        raise ConfigurationError("live plan needs executor ids")
-    if max_events < 1:
-        raise ConfigurationError(f"max_events must be >= 1: {max_events}")
-    nodes = list(executor_ids)
-    exec_names = [exec_name(n) for n in nodes]
-    wire_names = exec_names + [CLIENT_NAME]
-    lo, hi = int(horizon_ns * 0.2), int(horizon_ns * 0.8)
-
-    def when() -> int:
-        return int(rng.integers(lo, hi))
-
-    def window(max_frac: float = 0.2) -> Tuple[int, int]:
-        start = when()
-        length = int(
-            rng.integers(max(1, horizon_ns * 0.02), horizon_ns * max_frac)
-        )
-        return start, min(start + length, hi)
-
-    def maybe_target():
-        return (
-            None if rng.random() < 0.5 else (str(rng.choice(wire_names)),)
-        )
-
-    state = {"permanent_budget": len(nodes) - 1}
-    permanently_dead: set = set()
-
-    def crash_burst() -> List[object]:
-        node = int(rng.choice(nodes))
-        cycles = int(rng.integers(1, 3))
-        out: List[object] = []
-        at = when()
-        for _ in range(cycles):
-            if at >= hi:
-                break
-            permanent = (
-                rng.random() < 0.2
-                and state["permanent_budget"] > 0
-                and node not in permanently_dead
-            )
-            if permanent:
-                out.append(
-                    WorkerCrash(at_ns=at, node_id=node, restart_after_ns=None)
-                )
-                state["permanent_budget"] -= 1
-                permanently_dead.add(node)
-                break
-            restart = int(rng.integers(horizon_ns * 0.05, horizon_ns * 0.2))
-            out.append(
-                WorkerCrash(at_ns=at, node_id=node, restart_after_ns=restart)
-            )
-            at = at + restart + int(
-                rng.integers(horizon_ns * 0.02, horizon_ns * 0.08)
-            )
-        return out
-
-    def link_fault() -> List[object]:
-        start, end = window()
-        return [
-            LinkFault(
-                start_ns=start,
-                end_ns=end,
-                nodes=maybe_target(),
-                loss_prob=float(rng.uniform(0.0, 0.2)),
-                duplicate_prob=float(rng.uniform(0.0, 0.08)),
-                reorder_prob=float(rng.uniform(0.0, 0.15)),
-                reorder_jitter_ns=int(rng.integers(100_000, 5_000_000)),
-            )
-        ]
-
-    def corruption() -> List[object]:
-        start, end = window()
-        return [
-            PacketCorruption(
-                start_ns=start,
-                end_ns=end,
-                nodes=maybe_target(),
-                corrupt_prob=float(rng.uniform(0.01, 0.25)),
-                truncate_prob=float(rng.uniform(0.0, 0.6)),
-                max_bit_flips=int(rng.integers(1, 6)),
-            )
-        ]
-
-    def partition() -> List[object]:
-        start, end = window(max_frac=0.15)
-        return [
-            Partition(
-                start_ns=start,
-                end_ns=end,
-                nodes=(str(rng.choice(wire_names)),),
-            )
-        ]
-
-    def slowdown() -> List[object]:
-        start, end = window()
-        return [
-            WorkerSlowdown(
-                start_ns=start,
-                end_ns=end,
-                node_id=int(rng.choice(nodes)),
-                factor=float(rng.uniform(1.5, 6.0)),
-            )
-        ]
-
-    def failover_burst() -> List[object]:
-        return [
-            SwitchFailover(at_ns=when())
-            for _ in range(int(rng.integers(1, 3)))
-        ]
-
-    productions = (
-        link_fault,
-        corruption,
-        partition,
-        crash_burst,
-        slowdown,
-        failover_burst,
-    )
-    weights = np.array([0.22, 0.18, 0.15, 0.20, 0.12, 0.13])
-    weights = weights / weights.sum()
-    target = int(rng.integers(1, max_events + 1))
-    events: List[object] = []
-    while len(events) < target:
-        idx = int(rng.choice(len(productions), p=weights))
-        events.extend(productions[idx]())
-    return FaultPlan(events[:max_events])
-
-
 @dataclass
-class ChaosScenario:
+class ChaosScenario(ScenarioCodec):
     """One seed-deterministic live chaos run, fully pinned.
 
     Live durations are short (hundreds of milliseconds of workload, a
@@ -715,19 +419,6 @@ class ChaosScenario:
             drain_s=self.drain_s,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ChaosScenario":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"ChaosScenario: unknown fields {sorted(unknown)}"
-            )
-        return cls(**payload)
-
 
 def sample_scenario(
     seed: int,
@@ -757,11 +448,14 @@ def sample_scenario(
         controller_replicas = 3 if rep_rng.random() < 0.5 else 0
     scenario.controller_replicas = int(controller_replicas)
     horizon_ns = int(scenario.duration_s * 1e9)
-    plan = sample_live_plan(
+    executor_ids = list(range(scenario.executors))
+    plan = FaultPlan.fuzzed(
         rng,
-        horizon_ns=horizon_ns,
-        executor_ids=list(range(scenario.executors)),
+        horizon_ns,
+        worker_nodes=executor_ids,
+        worker_names=[exec_name(i) for i in executor_ids] + [CLIENT_NAME],
         max_events=max_events,
+        grammar=LIVE_GRAMMAR,
     )
     events = list(plan.events)
     if scenario.controller_replicas >= 2:
@@ -796,7 +490,7 @@ class ChaosRunResult:
     violations: List[Violation]
     checks: int
     result: LiveResult
-    #: merged ChaosNet + injector counters: what actually fired
+    #: ChaosNet wire counters + injector stats: what actually fired
     injected: Dict[str, int] = field(default_factory=dict)
     #: re-registrations beyond each executor's first (epoch bumps seen)
     reregistrations: int = 0
@@ -830,56 +524,57 @@ class ChaosRunResult:
             f"{ctrl} wall={self.wall_s:.1f}s"
         )
 
+    def summary(self) -> Dict[str, Any]:
+        """This run's entry in the fuzz CLI's ``--out`` JSON."""
+        return {
+            "seed": self.scenario.seed,
+            "ok": self.ok,
+            "violations": [asdict(v) for v in self.violations],
+            "kinds": list(self.kinds()),
+            "tasks_submitted": self.result.tasks_submitted,
+            "tasks_completed": self.result.tasks_completed,
+            "tasks_lost": self.result.tasks_lost,
+            "duplicates": self.result.duplicates,
+            "resubmits": self.result.resubmits,
+            "reregistrations": self.reregistrations,
+            "controller_replicas": self.scenario.controller_replicas,
+            "ctrl": self.ctrl,
+            "injected": self.injected,
+            "checks": self.checks,
+            "wall_s": self.wall_s,
+        }
+
 
 async def run_live_chaos_async(
     scenario: ChaosScenario, timeout_s: Optional[float] = None
 ) -> ChaosRunResult:
     """Run one chaos scenario end to end in this event loop."""
     spec = scenario.spec()
-    spec.validate()
     plan = scenario.plan()
     rngs = RngStreams(scenario.seed)
-    policy = (
-        PriorityPolicy(spec.priority_levels)
-        if scenario.policy == "priority"
-        else None
+    cluster = LiveCluster(
+        spec,
+        rngs,
+        client_config=LiveClientConfig(
+            resubmit_timeout_s=scenario.resubmit_timeout_s,
+            max_retries=scenario.max_retries,
+        ),
     )
-
-    switch = SoftSwitch(
-        policy=policy, queue_capacity=spec.queue_capacity
-    )
-    chaos = ChaosNet(plan, rng=rngs.stream("live-chaos"), clock=switch.sim)
-    switch.transport_wrap = chaos.wrap(SWITCH_NAME)
-    await switch.start()
-    wallsim = _WallSim(switch.sim)
-    checkpoints = CheckpointManager(
-        wallsim,  # type: ignore[arg-type]
-        switch,
-        interval_ns=int(scenario.checkpoint_interval_s * 1e9),
-    )
-
-    def make_executor(executor_id: int) -> LiveExecutor:
-        return LiveExecutor(
-            executor_id=executor_id,
-            switch=switch.endpoint,
-            config=LiveExecutorConfig(
-                max_outstanding=scenario.max_outstanding
-            ),
-            node_id=executor_id,
-            transport_wrap=chaos.wrap(exec_name(executor_id)),
-        )
-
-    executors: Dict[int, LiveExecutor] = {
-        i: make_executor(i) for i in range(scenario.executors)
-    }
-
+    switch, clock = cluster.switch, cluster.clock
+    chaos = ChaosNet(plan, rng=rngs.stream("live-chaos"), clock=clock)
+    cluster.wrap = chaos.wrap
+    # Two drivers: the checkpoint loop and the oracle's sampler tick
+    # forever; the injector's timers and restarts must all have finished
+    # before the run may be judged quiescent.
+    timers = WallTimers(clock)
+    fault_timers = WallTimers(clock)
     controllers: Dict[int, LiveControllerReplica] = {}
 
     def make_controller(replica_id: int) -> LiveControllerReplica:
         replica = LiveControllerReplica(
             replica_id=replica_id,
             switch=switch.endpoint,
-            clock=switch.sim,
+            clock=clock,
             transport_wrap=chaos.wrap(ctrl_name(replica_id)),
         )
         replica.peer_resolver = lambda: [
@@ -889,53 +584,40 @@ async def run_live_chaos_async(
         ]
         return replica
 
-    if scenario.controller_replicas >= 2:
-        for i in range(scenario.controller_replicas):
-            controllers[i] = make_controller(i)
-
-    client = LiveClient(
-        uid=0,
-        config=LiveClientConfig(
-            resubmit_timeout_s=scenario.resubmit_timeout_s,
-            max_retries=scenario.max_retries,
-        ),
-        clock=switch.sim,
-        rng=rngs.stream("live-client"),
-        transport_wrap=chaos.wrap(CLIENT_NAME),
+    targets = LiveTargets(
+        fault_timers, cluster, chaos, controllers, make_controller
     )
-    injector = LiveFaultInjector(
-        plan,
-        switch,
-        executors,
-        make_executor,
-        controllers=controllers,
-        make_controller=make_controller,
-    )
-    oracle = LiveInvariantOracle(
-        switch=switch,
-        client=client,
-        executors=executors,
-        retired=injector.retired,
-        chaos=chaos,
-        injector=injector,
-        controllers=controllers,
-    )
+    injector = FaultInjector(fault_timers, plan, targets)
 
     async def drive() -> ChaosRunResult:
-        for executor in executors.values():
-            await executor.start()
-        await asyncio.gather(
-            *(e.wait_registered(5.0) for e in executors.values())
+        await cluster.start()
+        client = cluster.client
+        checkpoints = CheckpointManager(
+            timers,  # type: ignore[arg-type]
+            switch,
+            interval_ns=int(scenario.checkpoint_interval_s * 1e9),
         )
-        for replica in controllers.values():
-            await replica.start()
-        await client.start(switch.endpoint)
-        oracle.attach()
+        if scenario.controller_replicas >= 2:
+            for i in range(scenario.controller_replicas):
+                controllers[i] = make_controller(i)
+                await controllers[i].start()
+        oracle = InvariantOracle(
+            LiveEvidence(
+                switch=switch,
+                client=client,
+                executors=cluster.executors,
+                driver=timers,
+                chaos=chaos,
+                fault_timers=fault_timers,
+                controllers=controllers,
+                checkpoint_manager=checkpoints,
+            )
+        ).attach()
 
-        start_ns = switch.sim.now
+        start_ns = clock.now
         chaos.arm()
         injector.arm()
-        gen = OpenLoopGen(client, spec.events(rngs), clock=switch.sim)
+        gen = OpenLoopGen(client, spec.events(rngs), clock=clock)
         await gen.run()
 
         await client.drain(scenario.drain_s)
@@ -948,42 +630,28 @@ async def run_live_chaos_async(
         # lease + one poll before a successor is granted the next term;
         # give the election that long before the oracle demands a leader.
         if controllers:
-            ctrl_deadline = switch.sim.now + int(1.0 * 1e9)
-            while switch.sim.now < ctrl_deadline:
+            ctrl_deadline = clock.now + int(1.0 * 1e9)
+            while clock.now < ctrl_deadline:
                 alive = [r for r in controllers.values() if not r.closed]
                 if not alive or any(r.is_leader() for r in alive):
                     break
                 await asyncio.sleep(0.01)
         # Settle: late completions, reorder-delayed stragglers, the last
         # queued tasks behind a slow executor.
-        deadline = switch.sim.now + int(2.0 * 1e9)
-        while switch.sim.now < deadline:
+        deadline = clock.now + int(2.0 * 1e9)
+        while clock.now < deadline:
             if (
                 client.pending_count == 0
                 and switch.total_queued() == 0
                 and chaos.pending_delayed() == 0
-                and injector.idle()
+                and fault_timers.idle()
             ):
                 break
             await asyncio.sleep(0.02)
         await asyncio.sleep(0.05)
 
-        wall_ns = switch.sim.now - start_ns
+        wall_ns = clock.now - start_ns
         report = oracle.check_final()
-        all_executors = list(injector.retired) + list(executors.values())
-        live_result = _collect(
-            spec, switch, all_executors, client, wall_ns, gen.max_lag_ns
-        )
-        injected = Counters()
-        for name, value in chaos.counters.items():
-            injected.incr(name, value)
-        for name, value in injector.counters.items():
-            injected.incr(name, value)
-        rereg = sum(
-            len(history) - 1
-            for history in switch.epoch_history.values()
-            if len(history) > 1
-        )
         ctrl_stats: Dict[str, Any] = {}
         if controllers:
             live_replicas = list(controllers.values())
@@ -992,7 +660,7 @@ async def run_live_chaos_async(
                 "replicas": [r.stats() for r in live_replicas],
                 "retired": [
                     r.stats()
-                    for r in injector.ctrl_retired
+                    for r in targets.ctrl_retired
                     if r not in live_replicas
                 ],
             }
@@ -1001,9 +669,11 @@ async def run_live_chaos_async(
             ok=report.ok,
             violations=list(report.violations),
             checks=report.checks,
-            result=live_result,
-            injected=dict(injected),
-            reregistrations=rereg,
+            result=cluster.collect(wall_ns, gen.max_lag_ns),
+            injected=_fired(injector),
+            reregistrations=sum(
+                len(history) - 1 for history in switch.epoch_history.values()
+            ),
             epoch_history={
                 k: list(v) for k, v in switch.epoch_history.items()
             },
@@ -1012,36 +682,27 @@ async def run_live_chaos_async(
         )
 
     try:
-        if timeout_s is None:
-            return await drive()
-        try:
-            return await asyncio.wait_for(drive(), timeout_s)
-        except asyncio.TimeoutError:
-            raise LiveTimeoutError(
-                f"live chaos run (seed {scenario.seed}) exceeded the "
-                f"{timeout_s}s hard cap\n"
-                + f"plan: {plan.describe()}\n"
-                + f"injected: {dict(chaos.counters)} "
-                + f"{dict(injector.counters)}\n"
-                + diagnostic_dump(
-                    switch,
-                    list(injector.retired) + list(executors.values()),
-                    client,
-                )
-            ) from None
+        return await cluster.guarded(
+            drive,
+            timeout_s,
+            f"live chaos run (seed {scenario.seed})",
+            lambda: f"plan: {plan.describe()}\n"
+            f"injected: {_fired(injector)}\n",
+        )
     finally:
-        await oracle.aclose()
-        await injector.aclose()
-        await wallsim.aclose()
-        await client.aclose()
-        for replica in list(injector.ctrl_retired) + list(
-            controllers.values()
-        ):
+        await fault_timers.aclose()
+        await timers.aclose()
+        for replica in targets.ctrl_retired + list(controllers.values()):
             await replica.aclose()
-        for executor in list(injector.retired) + list(executors.values()):
-            await executor.aclose()
-        switch.close()
-        await asyncio.sleep(0)
+        await cluster.aclose()
+
+
+def _fired(injector: FaultInjector) -> Dict[str, int]:
+    """What actually fired: per-packet wire counters + the injector's
+    non-zero process-fault counts."""
+    fired = injector.injected_totals()
+    fired.update({k: n for k, n in asdict(injector.stats).items() if n})
+    return fired
 
 
 def run_live_chaos(

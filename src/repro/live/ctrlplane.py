@@ -141,6 +141,9 @@ class LiveControllerReplica:
         self._recv_term = 0
         self._gap = True
         self._flushes = 0
+        self._need_snapshot = False
+        #: send time of the latest ElectionRequest; bounds the local lease
+        self._last_request_ns = self.clock.now
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._endpoint: Optional[Endpoint] = None
         self._tasks: List[asyncio.Task] = []
@@ -258,8 +261,7 @@ class LiveControllerReplica:
             # even if this replica ran on a different clock.
             self._leader_until = min(
                 ack.expires_at_ns,
-                getattr(self, "_last_request_ns", self.clock.now)
-                + self.lease_ns,
+                self._last_request_ns + self.lease_ns,
             )
             if newly:
                 self._become_leader()
@@ -303,7 +305,7 @@ class LiveControllerReplica:
     def _flush_sync(self) -> None:
         ops, _entries, overflowed = self.journal.drain()
         self._flushes += 1
-        snapshot = bool(getattr(self, "_need_snapshot", False) or overflowed)
+        snapshot = bool(self._need_snapshot or overflowed)
         self._need_snapshot = False
         # Tenure metadata rides every flush so a follower's ckpt_meta
         # mirror converges even when deltas were lost on the wire.

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.policies import Policy, PriorityPolicy
 from repro.errors import ConfigurationError, LiveTimeoutError
 from repro.experiments.common import ClusterConfig
-from repro.live.client import LiveClient
+from repro.live.client import LiveClient, LiveClientConfig
 from repro.live.executor import LiveExecutor, LiveExecutorConfig
 from repro.live.loadgen import ClosedLoopGen, OpenLoopGen
 from repro.live.results import LiveResult
@@ -135,50 +135,195 @@ class LiveSpec:
         return asdict(self)
 
 
+def exec_name(executor_id: int) -> str:
+    """The fault-plan node name of one live executor."""
+    return f"exec{executor_id}"
+
+
+CLIENT_NAME = "client"
+SWITCH_NAME = "switch"
+
+
+class LiveCluster:
+    """A switch, its executors and one client on loopback sockets.
+
+    The plain runner and the chaos runner both stand this up. ``wrap``
+    maps a component's fault-plan name to its ``transport_wrap`` (the
+    chaos layer's hook; set it before :meth:`start`). Executors live in
+    a dict by id so a fault injector can replace a killed incarnation
+    through :meth:`make_executor`; ``retired`` keeps the killed ones for
+    counter aggregation and teardown.
+    """
+
+    def __init__(
+        self,
+        spec: LiveSpec,
+        rngs: RngStreams,
+        client_config: Optional[LiveClientConfig] = None,
+    ) -> None:
+        spec.validate()
+        self.spec = spec
+        self.rngs = rngs
+        self.client_config = client_config
+        self.wrap: Callable[[str], Optional[Callable]] = lambda name: None
+        self.switch = SoftSwitch(
+            policy=spec.policy_obj(), queue_capacity=spec.queue_capacity
+        )
+        self.clock = self.switch.sim
+        self.executors: Dict[int, LiveExecutor] = {}
+        self.retired: List[LiveExecutor] = []
+        self.client: Optional[LiveClient] = None
+
+    def make_executor(self, executor_id: int) -> LiveExecutor:
+        return LiveExecutor(
+            executor_id=executor_id,
+            switch=self.switch.endpoint,
+            config=LiveExecutorConfig(
+                max_outstanding=self.spec.max_outstanding,
+                time_scale=self.spec.time_scale,
+            ),
+            node_id=executor_id,
+            transport_wrap=self.wrap(exec_name(executor_id)),
+        )
+
+    async def start(self) -> None:
+        """Bind every socket; returns once all executors registered."""
+        self.switch.transport_wrap = self.wrap(SWITCH_NAME)
+        await self.switch.start()
+        self.client = LiveClient(
+            uid=0,
+            config=self.client_config,
+            clock=self.clock,
+            rng=self.rngs.stream("live-client"),
+            transport_wrap=self.wrap(CLIENT_NAME),
+        )
+        for i in range(self.spec.executors):
+            self.executors[i] = self.make_executor(i)
+            await self.executors[i].start()
+        await asyncio.gather(
+            *(e.wait_registered(5.0) for e in self.executors.values())
+        )
+        await self.client.start(self.switch.endpoint)
+
+    def all_executors(self) -> List[LiveExecutor]:
+        return self.retired + list(self.executors.values())
+
+    async def guarded(
+        self,
+        drive: Callable,
+        timeout_s: Optional[float],
+        what: str,
+        context: Callable[[], str] = lambda: "",
+    ):
+        """Run ``drive()`` under a *hard* wall-clock cap.
+
+        A live run that hangs — a drain that never quiesces, an executor
+        wedged on a dead socket — raises :class:`LiveTimeoutError`
+        carrying ``context()`` and a component diagnostic dump, instead
+        of eating the CI job timeout.
+        """
+        if timeout_s is None:
+            return await drive()
+        try:
+            return await asyncio.wait_for(drive(), timeout_s)
+        except asyncio.TimeoutError:
+            raise LiveTimeoutError(
+                f"{what} exceeded the {timeout_s}s hard cap\n"
+                + context()
+                + self.diagnostic_dump()
+            ) from None
+
+    async def aclose(self) -> None:
+        if self.client is not None:
+            await self.client.aclose()
+        for executor in self.all_executors():
+            await executor.aclose()
+        self.switch.close()
+        # Let transport close callbacks run before the loop is torn down.
+        await asyncio.sleep(0)
+
+    def diagnostic_dump(self) -> str:
+        """Where a hung run was stuck, one component per line."""
+        switch, client = self.switch, self.client
+        lines = [
+            "switch: queued="
+            + str(switch.total_queued())
+            + f" executors={len(switch.executors)} {dict(switch.counters)}",
+        ]
+        for record in switch.executors.values():
+            lines.append(
+                f"  exec{record.executor_id}: epoch={record.epoch}"
+                f" in_flight={record.in_flight}/{record.max_outstanding}"
+            )
+        for executor in self.all_executors():
+            lines.append(
+                f"executor {executor.executor_id}: closed={executor.closed}"
+                f" {dict(executor.counters)}"
+            )
+        if client is not None:
+            lines.append(
+                f"client: pending={client.pending_count}"
+                f" done={client.completed_count}"
+                f" gave_up={client.gave_up_count} {dict(client.counters)}"
+            )
+        return "\n".join(lines)
+
+    def collect(self, wall_ns: int, max_lag_ns: int) -> LiveResult:
+        switch, client = self.switch, self.client
+        queue_delay = LogHistogram()
+        for _queue_index, delay_ns in switch.queue_delays:
+            queue_delay.record(delay_ns)
+        service = LogHistogram()
+        executor_counters: dict = {}
+        for executor in self.all_executors():
+            service.merge(executor.service_hist)
+            for name, value in executor.counters.items():
+                executor_counters[name] = (
+                    executor_counters.get(name, 0) + value
+                )
+        wall_s = wall_ns / 1e9
+        completed = client.completed_count
+        return LiveResult(
+            spec=self.spec.describe(),
+            wall_s=wall_s,
+            tasks_submitted=client.tasks_submitted,
+            tasks_completed=completed,
+            tasks_lost=client.lost_count,
+            duplicates=client.counters.get("duplicates", 0),
+            phantoms=client.counters.get("phantoms", 0),
+            resubmits=client.counters.get("resubmits", 0),
+            bounce_give_ups=client.counters.get("bounce_give_ups", 0),
+            timeout_give_ups=client.counters.get("timeout_give_ups", 0),
+            throughput_tps=completed / wall_s if wall_s > 0 else 0.0,
+            priority_inversions=switch.priority_inversions,
+            e2e=client.e2e_hist,
+            queue_delay=queue_delay,
+            service=service,
+            sched_stats=asdict_ints(switch.sched_stats),
+            switch_counters=dict(switch.counters),
+            executor_counters=executor_counters,
+            client_counters=dict(client.counters),
+            max_loadgen_lag_ns=max_lag_ns,
+        )
+
+
 async def run_live_async(
     spec: LiveSpec, timeout_s: Optional[float] = None
 ) -> LiveResult:
     """Run one spec end to end on localhost; everything in this loop.
 
-    ``timeout_s`` is a *hard* wall-clock cap on the whole run. A live run
-    that hangs — a drain that never quiesces, an executor wedged on a
-    dead socket — raises :class:`LiveTimeoutError` carrying a component
-    diagnostic dump, instead of eating the CI job timeout.
+    ``timeout_s`` is the hard cap of :meth:`LiveCluster.guarded`.
     """
-    spec.validate()
     rngs = RngStreams(spec.seed)
-    switch = SoftSwitch(
-        policy=spec.policy_obj(), queue_capacity=spec.queue_capacity
-    )
-    await switch.start()
-    executors = [
-        LiveExecutor(
-            executor_id=i,
-            switch=switch.endpoint,
-            config=LiveExecutorConfig(
-                max_outstanding=spec.max_outstanding,
-                time_scale=spec.time_scale,
-            ),
-            node_id=i,
-        )
-        for i in range(spec.executors)
-    ]
-    client = LiveClient(
-        uid=0, clock=switch.sim, rng=rngs.stream("live-client")
-    )
+    cluster = LiveCluster(spec, rngs)
 
     async def drive() -> LiveResult:
-        for executor in executors:
-            await executor.start()
-        await asyncio.gather(
-            *(e.wait_registered(5.0) for e in executors)
-        )
-        await client.start(switch.endpoint)
-
-        start_ns = switch.sim.now
+        await cluster.start()
+        client, clock = cluster.client, cluster.clock
+        start_ns = clock.now
         max_lag_ns = 0
         if spec.mode == "open":
-            gen = OpenLoopGen(client, spec.events(rngs), clock=switch.sim)
+            gen = OpenLoopGen(client, spec.events(rngs), clock=clock)
             await gen.run()
             max_lag_ns = gen.max_lag_ns
         else:
@@ -190,102 +335,16 @@ async def run_live_async(
                 sampler=spec.sampler(),
                 rng=rngs.stream("closed-loop"),
                 tprops_for=spec.tprops_for(),
-                clock=switch.sim,
+                clock=clock,
             )
             await closed.run()
         await client.drain(spec.drain_s)
-        wall_ns = switch.sim.now - start_ns
-        return _collect(spec, switch, executors, client, wall_ns, max_lag_ns)
+        return cluster.collect(clock.now - start_ns, max_lag_ns)
 
     try:
-        if timeout_s is None:
-            return await drive()
-        try:
-            return await asyncio.wait_for(drive(), timeout_s)
-        except asyncio.TimeoutError:
-            raise LiveTimeoutError(
-                f"live run exceeded the {timeout_s}s hard cap\n"
-                + diagnostic_dump(switch, executors, client)
-            ) from None
+        return await cluster.guarded(drive, timeout_s, "live run")
     finally:
-        await client.aclose()
-        for executor in executors:
-            await executor.aclose()
-        switch.close()
-        # Let transport close callbacks run before the loop is torn down.
-        await asyncio.sleep(0)
-
-
-def diagnostic_dump(
-    switch: SoftSwitch,
-    executors: List[LiveExecutor],
-    client: LiveClient,
-) -> str:
-    """Where a hung run was stuck, one component per line."""
-    lines = [
-        "switch: queued="
-        + str(switch.total_queued())
-        + f" executors={len(switch.executors)} {dict(switch.counters)}",
-    ]
-    for record in switch.executors.values():
-        lines.append(
-            f"  exec{record.executor_id}: epoch={record.epoch}"
-            f" in_flight={record.in_flight}/{record.max_outstanding}"
-        )
-    for executor in executors:
-        lines.append(
-            f"executor {executor.executor_id}: closed={executor.closed}"
-            f" {dict(executor.counters)}"
-        )
-    lines.append(
-        f"client: pending={client.pending_count}"
-        f" done={client.completed_count} gave_up={client.gave_up_count}"
-        f" {dict(client.counters)}"
-    )
-    return "\n".join(lines)
-
-
-def _collect(
-    spec: LiveSpec,
-    switch: SoftSwitch,
-    executors: List[LiveExecutor],
-    client: LiveClient,
-    wall_ns: int,
-    max_lag_ns: int,
-) -> LiveResult:
-    queue_delay = LogHistogram()
-    for _queue_index, delay_ns in switch.queue_delays:
-        queue_delay.record(delay_ns)
-    service = LogHistogram()
-    executor_counters: dict = {}
-    for executor in executors:
-        service.merge(executor.service_hist)
-        for name, value in executor.counters.items():
-            executor_counters[name] = executor_counters.get(name, 0) + value
-    wall_s = wall_ns / 1e9
-    completed = client.completed_count
-    return LiveResult(
-        spec=spec.describe(),
-        wall_s=wall_s,
-        tasks_submitted=client.tasks_submitted,
-        tasks_completed=completed,
-        tasks_lost=client.lost_count,
-        duplicates=client.counters.get("duplicates", 0),
-        phantoms=client.counters.get("phantoms", 0),
-        resubmits=client.counters.get("resubmits", 0),
-        bounce_give_ups=client.counters.get("bounce_give_ups", 0),
-        timeout_give_ups=client.counters.get("timeout_give_ups", 0),
-        throughput_tps=completed / wall_s if wall_s > 0 else 0.0,
-        priority_inversions=switch.priority_inversions,
-        e2e=client.e2e_hist,
-        queue_delay=queue_delay,
-        service=service,
-        sched_stats=asdict_ints(switch.sched_stats),
-        switch_counters=dict(switch.counters),
-        executor_counters=executor_counters,
-        client_counters=dict(client.counters),
-        max_loadgen_lag_ns=max_lag_ns,
-    )
+        await cluster.aclose()
 
 
 def asdict_ints(stats) -> dict:

@@ -5,12 +5,15 @@ The package turns the hand-picked chaos sweeps of
 ``experiments.fault_tolerance`` into a generative pipeline:
 
 * :mod:`repro.verify.oracle` — the invariant catalogue checked after
-  (and cheaply during) every run: task conservation, lease safety,
-  checkpoint/journal consistency across failover, switch register
-  sanity, and quiescence;
-* :mod:`repro.verify.fuzzer` — :class:`FaultFuzzer`, which samples
-  cluster scenarios and :meth:`FaultPlan.fuzzed` fault schedules from a
-  seeded grammar and judges each run with the oracle;
+  (and cheaply during) every run, simulated or live: task conservation,
+  lease safety, checkpoint/journal consistency across failover, election
+  safety, switch register sanity, in-flight/epoch bounds, quiescence and
+  parser robustness;
+* :mod:`repro.verify.evidence` — the :class:`RunEvidence` protocol the
+  oracle reads, with the simulator's and the live runtime's adapters;
+* :mod:`repro.verify.fuzzer` — samples cluster scenarios and
+  :meth:`FaultPlan.fuzzed` fault schedules from a seeded grammar and
+  judges each run with the oracle (:func:`run_scenario`);
 * :mod:`repro.verify.shrink` — a delta-debugging shrinker that reduces
   a failing plan (drop events, narrow windows, reduce intensities) to a
   minimal reproduction that still trips the oracle;
@@ -31,26 +34,26 @@ from repro.verify.artifact import (
     save_artifact,
     save_live_artifact,
 )
+from repro.verify.evidence import LiveEvidence, SimEvidence
 from repro.verify.fuzzer import (
-    FaultFuzzer,
     FuzzResult,
     FuzzScenario,
     run_scenario,
     sample_scenario,
+    shrink_failure,
 )
-from repro.verify.live_oracle import LiveInvariantOracle
 from repro.verify.oracle import InvariantOracle, OracleReport, Violation
 from repro.verify.shrink import shrink_plan
 
 __all__ = [
     "ARTIFACT_VERSION",
     "LIVE_ARTIFACT_VERSION",
-    "FaultFuzzer",
     "FuzzResult",
     "FuzzScenario",
     "InvariantOracle",
-    "LiveInvariantOracle",
+    "LiveEvidence",
     "OracleReport",
+    "SimEvidence",
     "Violation",
     "load_artifact",
     "load_live_artifact",
@@ -58,5 +61,6 @@ __all__ = [
     "sample_scenario",
     "save_artifact",
     "save_live_artifact",
+    "shrink_failure",
     "shrink_plan",
 ]

@@ -15,29 +15,33 @@ loudly rather than misinterpreting it.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from dataclasses import asdict
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.verify.fuzzer import FuzzResult, FuzzScenario
 
 ARTIFACT_VERSION = 1
+LIVE_ARTIFACT_VERSION = 1
+LIVE_KIND = "live-chaos"
+
+
+def _scenario_dict(scenario: Any) -> Dict[str, Any]:
+    payload = scenario.to_dict()
+    # store the plan as a nested object, not an escaped string
+    payload["plan"] = json.loads(payload.pop("plan_json"))
+    return payload
 
 
 def artifact_dict(result: FuzzResult) -> Dict[str, Any]:
-    """Build the artifact payload for one finished run."""
-    scenario = result.scenario.to_dict()
-    # store the plan as a nested object, not an escaped string
-    scenario["plan"] = json.loads(scenario.pop("plan_json"))
+    """Build the artifact payload for one finished simulator run."""
     return {
         "version": ARTIFACT_VERSION,
-        "scenario": scenario,
+        "scenario": _scenario_dict(result.scenario),
         "expected": {
             "ok": result.ok,
-            "violations": [
-                {"invariant": v.invariant, "detail": v.detail}
-                for v in result.violations
-            ],
+            "violations": [asdict(v) for v in result.violations],
             "event_count": result.event_count,
             "fingerprint": result.fingerprint,
             "tasks_submitted": result.tasks_submitted,
@@ -46,39 +50,23 @@ def artifact_dict(result: FuzzResult) -> Dict[str, Any]:
     }
 
 
-def save_artifact(result: FuzzResult, path: str) -> None:
-    """Write ``result`` as a replayable artifact at ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(artifact_dict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-LIVE_ARTIFACT_VERSION = 1
-
-
 def live_artifact_dict(run: Any) -> Dict[str, Any]:
     """Artifact payload for one live chaos run.
 
     Duck-typed on :class:`repro.live.chaos.ChaosRunResult` — this module
     must not import ``repro.live`` (``repro.live.chaos`` imports the
-    live oracle from here-adjacent modules). Live runs are wall-clock:
+    oracle from here-adjacent modules). Live runs are wall-clock:
     the ``expected`` block pins only what a replay *must* reproduce
     (verdict, conservation totals), while ``observed`` records the
     timing-dependent evidence for diagnosis.
     """
-    scenario = run.scenario.to_dict()
-    # store the plan as a nested object, not an escaped string
-    scenario["plan"] = json.loads(scenario.pop("plan_json"))
     return {
         "version": LIVE_ARTIFACT_VERSION,
-        "kind": "live-chaos",
-        "scenario": scenario,
+        "kind": LIVE_KIND,
+        "scenario": _scenario_dict(run.scenario),
         "expected": {
             "ok": run.ok,
-            "violations": [
-                {"invariant": v.invariant, "detail": v.detail}
-                for v in run.violations
-            ],
+            "violations": [asdict(v) for v in run.violations],
             "tasks_submitted": run.result.tasks_submitted,
             "tasks_completed": run.result.tasks_completed,
             "tasks_lost": run.result.tasks_lost,
@@ -96,21 +84,28 @@ def live_artifact_dict(run: Any) -> Dict[str, Any]:
     }
 
 
-def save_live_artifact(run: Any, path: str) -> None:
-    """Write one live chaos run as a versioned JSON artifact."""
+def _save(payload: Dict[str, Any], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(live_artifact_dict(run), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_live_artifact(path: str) -> Dict[str, Any]:
-    """Load and structurally validate a live chaos artifact.
+def save_artifact(result: FuzzResult, path: str) -> None:
+    """Write ``result`` as a replayable artifact at ``path``."""
+    _save(artifact_dict(result), path)
 
-    Returns the raw dict with the scenario's plan canonicalized back
-    into ``plan_json`` (validating every event). The scenario stays a
-    plain dict — hydrate it with
-    ``repro.live.chaos.ChaosScenario.from_dict`` at the call site; this
-    module stays import-free of ``repro.live``.
+
+def save_live_artifact(run: Any, path: str) -> None:
+    """Write one live chaos run as a versioned JSON artifact."""
+    _save(live_artifact_dict(run), path)
+
+
+def _load(path: str, version: int, kind: Optional[str]) -> Dict[str, Any]:
+    """Load and structurally validate an artifact of one version/kind.
+
+    The scenario comes back as a plain dict with its plan canonicalized
+    through :class:`FaultPlan` into ``plan_json``: that validates every
+    event and restores the exact ``to_json()`` form it was saved with.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -121,15 +116,14 @@ def load_live_artifact(path: str) -> Dict[str, Any]:
             ) from exc
     if not isinstance(payload, dict):
         raise ConfigurationError(f"artifact {path} must be a JSON object")
-    version = payload.get("version")
-    if version != LIVE_ARTIFACT_VERSION:
+    if payload.get("version") != version:
         raise ConfigurationError(
-            f"artifact {path} has version {version!r}, this build reads "
-            f"live version {LIVE_ARTIFACT_VERSION}"
+            f"artifact {path} has version {payload.get('version')!r}, this "
+            f"build reads version {version}"
         )
-    if payload.get("kind") != "live-chaos":
+    if payload.get("kind") != kind:
         raise ConfigurationError(
-            f"artifact {path} is not a live-chaos artifact "
+            f"artifact {path} is not a {kind or 'simulator'} artifact "
             f"(kind={payload.get('kind')!r})"
         )
     for section in ("scenario", "expected"):
@@ -146,38 +140,18 @@ def load_live_artifact(path: str) -> Dict[str, Any]:
     return payload
 
 
-def load_artifact(path: str) -> Dict[str, Any]:
-    """Load and structurally validate an artifact file.
+def load_live_artifact(path: str) -> Dict[str, Any]:
+    """Load a live chaos artifact; the scenario stays a plain dict.
 
-    Returns the raw dict with ``scenario`` replaced by a hydrated
-    :class:`~repro.verify.fuzzer.FuzzScenario` under ``"scenario"``.
+    Hydrate it with ``repro.live.chaos.ChaosScenario.from_dict`` at the
+    call site; this module stays import-free of ``repro.live``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"artifact {path} is not valid JSON: {exc}"
-            ) from exc
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"artifact {path} must be a JSON object")
-    version = payload.get("version")
-    if version != ARTIFACT_VERSION:
-        raise ConfigurationError(
-            f"artifact {path} has version {version!r}, this build reads "
-            f"version {ARTIFACT_VERSION}"
-        )
-    for section in ("scenario", "expected"):
-        if section not in payload:
-            raise ConfigurationError(
-                f"artifact {path} is missing its {section!r} section"
-            )
-    scenario = dict(payload["scenario"])
-    plan = scenario.pop("plan", None)
-    if plan is None:
-        raise ConfigurationError(f"artifact {path} scenario has no plan")
-    # canonicalize through FaultPlan: validates every event and restores
-    # the exact to_json() form the scenario was saved with
-    scenario["plan_json"] = FaultPlan.from_json(json.dumps(plan)).to_json()
-    payload["scenario"] = FuzzScenario.from_dict(scenario)
+    return _load(path, LIVE_ARTIFACT_VERSION, LIVE_KIND)
+
+
+def load_artifact(path: str) -> Dict[str, Any]:
+    """Load a simulator artifact, ``scenario`` hydrated to a
+    :class:`~repro.verify.fuzzer.FuzzScenario`."""
+    payload = _load(path, ARTIFACT_VERSION, None)
+    payload["scenario"] = FuzzScenario.from_dict(payload["scenario"])
     return payload

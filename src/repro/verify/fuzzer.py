@@ -8,27 +8,30 @@ seed, so a scenario is its own reproduction recipe: ``run_scenario``
 on the same scenario returns the same simulator event count, the same
 task-trace fingerprint, and the same oracle verdict, bit for bit.
 
-:class:`FaultFuzzer` is the campaign driver: it samples scenarios,
-fans them out across cores (:func:`~repro.experiments.parallel_runner.
-parallel_map` — each cell seeds its own simulator, so results are
-independent of ``--jobs``), shrinks every failure to a minimal plan
-(:mod:`repro.verify.shrink`), and writes each one as a replayable
-artifact (:mod:`repro.verify.artifact`).
+The campaign driver is ``python -m repro.experiments.fuzz``: it samples
+scenarios, fans them out across cores (each cell seeds its own
+simulator, so results are independent of ``--jobs``), shrinks every
+failure to a minimal plan (:func:`shrink_failure`), and writes each one
+as a replayable artifact (:mod:`repro.verify.artifact`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Dict, List, Optional
 
-from repro.core.scheduler import DraconisProgram
 from repro.errors import ConfigurationError
 from repro.experiments import common
-from repro.experiments.parallel_runner import parallel_map
-from repro.faults import FaultInjector, FaultPlan, sample_ctrl_faults
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    SimTargets,
+    sample_ctrl_faults,
+)
 from repro.sim.core import ms
 from repro.sim.rng import RngStreams
+from repro.verify.evidence import SimEvidence
 from repro.verify.oracle import InvariantOracle, OracleReport, Violation
 from repro.verify.shrink import shrink_plan
 from repro.workloads import exponential, open_loop, rate_for_utilization
@@ -39,8 +42,25 @@ DEFAULT_UTILIZATION = 0.45
 DEFAULT_TIMEOUT_FACTOR = 4.0
 
 
+class ScenarioCodec:
+    """``to_dict`` / ``from_dict`` for a scenario dataclass (the artifact
+    format); unknown fields fail loudly instead of being dropped."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]):
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(
+                f"{cls.__name__}: unknown fields {sorted(unknown)}"
+            )
+        return cls(**payload)
+
+
 @dataclass(frozen=True)
-class FuzzScenario:
+class FuzzScenario(ScenarioCodec):
     """One fuzz iteration, fully determined by its fields.
 
     ``plan_json`` is ``None`` while the plan is still implicit in the
@@ -65,19 +85,6 @@ class FuzzScenario:
     max_events: int = 8
 
     plan_json: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FuzzScenario":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown FuzzScenario fields: {sorted(unknown)}"
-            )
-        return cls(**payload)
 
 
 @dataclass
@@ -118,6 +125,10 @@ class FuzzResult:
             f"fp={self.fingerprint[:12]}  {verdict}"
         )
 
+    def summary(self) -> Dict[str, Any]:
+        """This run's entry in the fuzz CLI's ``--out`` JSON."""
+        return {"seed": self.scenario.seed, **asdict(self)}
+
 
 def sample_scenario(
     seed: int,
@@ -154,24 +165,6 @@ def sample_scenario(
     )
 
 
-class _SoloControllerAdapter:
-    """ControllerCrash surface for an unreplicated controller.
-
-    Lets hand-crafted plans (e.g. the ``ha_artifact`` baseline-loss
-    demonstration) crash the single controller through the same injector
-    arm that crashes replica-group members.
-    """
-
-    def __init__(self, controller: Any) -> None:
-        self._controller = controller
-
-    def crash(self, replica_id: int) -> None:
-        self._controller.crash()
-
-    def restart(self, replica_id: int) -> None:
-        self._controller.restart()
-
-
 def _trace_fingerprint(handles: common.ClusterHandles) -> str:
     """sha256 over the full task trace + counters — the determinism probe.
 
@@ -201,6 +194,34 @@ def _trace_fingerprint(handles: common.ClusterHandles) -> str:
     return digest.hexdigest()
 
 
+def plan_for(scenario: FuzzScenario) -> FaultPlan:
+    """The scenario's fault plan: pinned JSON, else sampled from the seed.
+
+    The plan streams are named, hence independent of every stream the
+    run itself draws from — a pinned replay needs no burn-in to keep the
+    injector and link-chaos draws aligned with the sampling run.
+    """
+    if scenario.plan_json is not None:
+        return FaultPlan.from_json(scenario.plan_json)
+    rngs = RngStreams(scenario.seed)
+    plan = FaultPlan.fuzzed(
+        rngs.stream("fuzz-plan"),
+        scenario.duration_ns,
+        worker_nodes=list(range(scenario.workers)),
+        max_events=scenario.max_events,
+    )
+    if scenario.controller and scenario.controller_replicas >= 2:
+        plan = FaultPlan(
+            list(plan.events)
+            + sample_ctrl_faults(
+                rngs.stream("fuzz-ctrl-plan"),
+                scenario.duration_ns,
+                replica_ids=list(range(scenario.controller_replicas)),
+            )
+        )
+    return plan
+
+
 def run_scenario(scenario: FuzzScenario) -> FuzzResult:
     """Build, fault, run, and judge one scenario. Bit-deterministic."""
     config = common.ClusterConfig(
@@ -227,67 +248,24 @@ def run_scenario(scenario: FuzzScenario) -> FuzzResult:
     )
     handles = common.build_cluster(config, [events], rngs=rngs)
 
-    replicated = scenario.controller and scenario.controller_replicas >= 2
-    if scenario.plan_json is not None:
-        plan = FaultPlan.from_json(scenario.plan_json)
-        # burn the plan streams anyway so the downstream injector/link
-        # streams match the original sampling run exactly
-        FaultPlan.fuzzed(
-            rngs.stream("fuzz-plan"),
-            scenario.duration_ns,
-            worker_nodes=[w.spec.node_id for w in handles.workers],
-            max_events=scenario.max_events,
-        )
-        if replicated:
-            sample_ctrl_faults(
-                rngs.stream("fuzz-ctrl-plan"),
-                scenario.duration_ns,
-                replica_ids=list(range(scenario.controller_replicas)),
-            )
-    else:
-        plan = FaultPlan.fuzzed(
-            rngs.stream("fuzz-plan"),
-            scenario.duration_ns,
-            worker_nodes=[w.spec.node_id for w in handles.workers],
-            max_events=scenario.max_events,
-        )
-        if replicated:
-            plan = FaultPlan(
-                list(plan.events)
-                + sample_ctrl_faults(
-                    rngs.stream("fuzz-ctrl-plan"),
-                    scenario.duration_ns,
-                    replica_ids=list(range(scenario.controller_replicas)),
-                )
-            )
-
-    def standby_program() -> DraconisProgram:
-        return DraconisProgram(
-            policy=config.policy,
-            queue_capacity=config.queue_capacity,
-            retrieve_mode=config.retrieve_mode,
-            queues_in_stages=config.queues_in_stages,
-            park_pulls=config.park_pulls,
-            pull_ttl_ns=config.pull_ttl_ns,
-        )
-
-    controllers: Any = handles.ctrl_group
-    if controllers is None and handles.controller is not None:
-        controllers = _SoloControllerAdapter(handles.controller)
+    plan = plan_for(scenario)
 
     injector = FaultInjector(
         handles.sim,
         plan,
-        handles.topology,
-        workers=handles.workers,
-        switch=handles.switch,
-        controllers=controllers,
-        program_factory=standby_program,
-        rng=rngs.stream("fuzz-injector"),
+        SimTargets(
+            handles.sim,
+            handles.topology,
+            workers=handles.workers,
+            switch=handles.switch,
+            controllers=handles.ctrl_group or handles.controller,
+            program_factory=config.standby_program,
+            rng=rngs.stream("fuzz-injector"),
+        ),
     ).arm()
 
     horizon = scenario.duration_ns + scenario.drain_ns
-    oracle = InvariantOracle(handles, injector=injector).attach(horizon)
+    oracle = InvariantOracle(SimEvidence(handles, injector)).attach(horizon)
     handles.sim.run(until=horizon)
     report: OracleReport = oracle.check_final()
 
@@ -306,11 +284,6 @@ def run_scenario(scenario: FuzzScenario) -> FuzzResult:
     )
 
 
-def _fuzz_cell(scenario: FuzzScenario) -> FuzzResult:
-    """Module-level so the fork pool can pickle it."""
-    return run_scenario(scenario)
-
-
 @dataclass
 class CampaignFailure:
     """One failing scenario, with its shrunk minimal reproduction."""
@@ -322,69 +295,31 @@ class CampaignFailure:
     shrink_attempts: int
 
 
-class FaultFuzzer:
-    """Campaign driver: sample → run → shrink failures → artifacts."""
+def shrink_failure(result: FuzzResult, max_attempts: int = 200) -> CampaignFailure:
+    """Delta-debug a failing scenario's plan to a minimal repro.
 
-    def __init__(
-        self,
-        iterations: int = 50,
-        base_seed: int = 0,
-        max_events: int = 8,
-        jobs: Optional[int] = None,
-        shrink_attempts: int = 200,
-        controller_replicas: Optional[int] = None,
-    ) -> None:
-        self.iterations = iterations
-        self.base_seed = base_seed
-        self.max_events = max_events
-        self.jobs = jobs
-        self.shrink_attempts = shrink_attempts
-        self.controller_replicas = controller_replicas
+    A candidate plan "still fails" when it reproduces at least one
+    of the original run's violated invariant families — not
+    necessarily all of them; a smaller plan that still trips
+    ``task-conservation`` is a better bug report than a fat plan
+    that also happens to trip ``quiescence``.
+    """
+    scenario = result.scenario
+    original = FaultPlan.from_json(scenario.plan_json)
+    target = set(result.invariants_violated())
 
-    def scenarios(self) -> List[FuzzScenario]:
-        return [
-            sample_scenario(
-                self.base_seed + i,
-                max_events=self.max_events,
-                controller_replicas=self.controller_replicas,
-            )
-            for i in range(self.iterations)
-        ]
+    def still_fails(candidate: FaultPlan) -> bool:
+        trial = replace(scenario, plan_json=candidate.to_json())
+        rerun = run_scenario(trial)
+        return bool(target & set(rerun.invariants_violated()))
 
-    def run(self) -> Tuple[List[FuzzResult], List[CampaignFailure]]:
-        """Run the campaign; returns (all results, shrunk failures)."""
-        results = parallel_map(_fuzz_cell, self.scenarios(), jobs=self.jobs)
-        failures = [
-            self.shrink_failure(result) for result in results if not result.ok
-        ]
-        return results, failures
-
-    def shrink_failure(self, result: FuzzResult) -> CampaignFailure:
-        """Delta-debug a failing scenario's plan to a minimal repro.
-
-        A candidate plan "still fails" when it reproduces at least one
-        of the original run's violated invariant families — not
-        necessarily all of them; a smaller plan that still trips
-        ``task-conservation`` is a better bug report than a fat plan
-        that also happens to trip ``quiescence``.
-        """
-        scenario = result.scenario
-        original = FaultPlan.from_json(scenario.plan_json)
-        target = set(result.invariants_violated())
-
-        def still_fails(candidate: FaultPlan) -> bool:
-            trial = replace(scenario, plan_json=candidate.to_json())
-            rerun = run_scenario(trial)
-            return bool(target & set(rerun.invariants_violated()))
-
-        minimal, attempts = shrink_plan(
-            original, still_fails, max_attempts=self.shrink_attempts
-        )
-        minimized = replace(scenario, plan_json=minimal.to_json())
-        return CampaignFailure(
-            result=result,
-            minimized=minimized,
-            minimized_events=len(minimal),
-            original_events=len(original),
-            shrink_attempts=attempts,
-        )
+    minimal, attempts = shrink_plan(
+        original, still_fails, max_attempts=max_attempts
+    )
+    return CampaignFailure(
+        result=result,
+        minimized=replace(scenario, plan_json=minimal.to_json()),
+        minimized_events=len(minimal),
+        original_events=len(original),
+        shrink_attempts=attempts,
+    )

@@ -3,18 +3,24 @@
 The chaos fuzzer's value is only as good as its oracle. Crashing is easy
 to detect; a scheduler that silently loses a task, leaks a lease, or
 restores a corrupted checkpoint is not. The oracle encodes the repo's
-correctness claims as six invariant families:
+correctness claims as invariant families, written once over the
+:class:`~repro.verify.evidence.RunEvidence` protocol that the simulator
+and the live UDP runtime each fill in. A family whose evidence a runtime
+cannot supply (its adapter returns ``None``) is skipped:
 
 * **task conservation** — no phantom lifecycle records (completions for
-  tasks never submitted), and every incomplete task is *accounted for*:
-  either the client deliberately gave it up after exhausting its retry
-  budget, or it still has a live resubmit timer at the horizon. An
-  incomplete task with neither was silently lost — the bug class the
-  paper's §3.3 "failure handling is nearly free" claim must exclude.
-* **lease safety** (controller runs only) — the sweep loop collects
-  every expired lease within one period, the reclaim backlog drains,
-  and no parked pull belongs to an executor the controller believes
-  dead at the end of the run.
+  tasks never submitted), no stray completions, the clients' bookkeeping
+  sums exactly, and every incomplete task is *accounted for*: either the
+  client deliberately gave it up after exhausting its retry budget, or
+  it still has a live resubmit timer at the horizon. An incomplete task
+  with neither was silently lost — the bug class the paper's §3.3
+  "failure handling is nearly free" claim must exclude. Duplicates are
+  counted, never violations: resubmit races under loss *should* produce
+  them.
+* **lease safety** (runs with a lease-holding controller) — the sweep
+  loop collects every expired lease within one period, the reclaim
+  backlog drains, and no parked pull belongs to an executor the
+  controller believes dead at the end of the run.
 * **failover consistency** — after every ``SwitchFailover``, the newly
   installed program's queue contents are explainable: without
   checkpointing the standby must start empty; with checkpointing, the
@@ -22,39 +28,46 @@ correctness claims as six invariant families:
   one in ways the :class:`~repro.ctrl.checkpoint.RecoveryReport` admits
   (dropped entries, journal overflow, unmatched dequeues). Extra keys
   that the old program never held are always a violation.
-* **election safety** (replicated-controller runs only) — at most one
-  leader per term (new-term grants strictly increase), every accepted
-  fenced action carries the register's *current* term (a deposed leader
-  never mutated the switch), the observed register term never moves
-  backwards, and a live leader holds the lease at the horizon whenever
-  any replica survived.
+* **election safety** (replicated-controller runs) — at most one leader
+  per term (new-term grants strictly increase), every accepted fenced
+  action carries the register's *current* term (a deposed leader never
+  mutated the switch), the observed register term never moves
+  backwards, at most one live replica claims leadership, and a live
+  leader holds the lease at the final check whenever any replica
+  survived.
 * **register sanity** — the switch program's own control-plane checks
   (circular-queue pointer windows, occupancy bounds, parked-pull
   capacity) pass both at the end and in cheap periodic mid-run samples.
+* **in-flight bound / epoch monotonicity** (runtimes with an executor
+  registry) — every record satisfies ``0 <= in_flight <=
+  max_outstanding``, sampled mid-run and at the end, and the epochs
+  acked to each executor strictly increase across kill/restart and
+  endpoint moves. (``in_flight == 0`` at quiescence is *not* required:
+  a credit leaked by a dropped assignment only resyncs once the
+  executor saturates, by design.)
 * **quiescence** — after the drain window every transient is gone:
-  switch queues empty, no silently-abandoned outstanding task, every
-  fault window closed (no residual link degradations, speed factors
-  back to 1.0, recirculation limit restored).
+  switch queues empty, every fault window closed behind itself (no
+  residual degradation, delayed packet or pending injector timer),
+  speed factors back to 1.0, recirculation limit restored.
+* **parser robustness** — the corruption fuzz never provoked anything
+  but ``ProtocolError`` out of the codec.
 
-``InvariantOracle.attach`` must be called before ``sim.run`` so the
-mid-run sampler and the failover hook are registered; ``check_final``
-after the run returns the full :class:`OracleReport`.
+``InvariantOracle.attach`` must be called before the workload starts so
+the mid-run sampler and the failover hook are registered;
+``check_final`` after the run returns the full :class:`OracleReport`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.errors import SwitchError
-from repro.sim.core import ms
+from repro.errors import ReproError
 
-#: cap on mid-run sampler violations kept; one broken register check
+#: cap on mid-run violations kept per family; one broken register check
 #: repeats every sample, and the first few are what the shrinker needs
-MAX_LIVE_VIOLATIONS = 20
-
-DEFAULT_SAMPLE_INTERVAL_NS = ms(2)
+MAX_SAMPLED_VIOLATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -92,409 +105,370 @@ class OracleReport:
 
 
 class InvariantOracle:
-    """Checks the invariant catalogue against one live cluster.
+    """Checks the invariant catalogue against one run's evidence.
 
-    ``handles`` is an :class:`~repro.experiments.common.ClusterHandles`;
-    the oracle reads only control-plane state (no packets, no data-plane
-    registers), so attaching it never perturbs the simulation schedule
-    beyond its own sampling callbacks — which are pure reads.
+    The oracle reads only control-plane state through ``evidence`` (no
+    packets, no data-plane registers, no sockets), so attaching it never
+    perturbs the run beyond its own sampling ticks — which are pure
+    reads.
     """
 
-    def __init__(
-        self,
-        handles: Any,
-        injector: Any = None,
-        sample_interval_ns: int = DEFAULT_SAMPLE_INTERVAL_NS,
-    ) -> None:
-        self.handles = handles
-        self.injector = injector
-        self.sample_interval_ns = sample_interval_ns
-        self._live: List[Violation] = []
-        self._live_suppressed = 0
+    def __init__(self, evidence: Any) -> None:
+        self.evidence = evidence
+        self._sampled: List[Violation] = []
+        self._suppressed: Dict[str, int] = {}
         self._checks = 0
         self._attached = False
-        self._until_ns = 0
+        self._until_ns: Optional[int] = None
         self._recirc_limit_baseline: Optional[int] = None
-        self._samples = 0
 
-    # -- wiring (before sim.run) ------------------------------------------
+    def _check(
+        self, out: List[Violation], invariant: str, ok: Any, detail: str
+    ) -> None:
+        """Count one check; a falsy ``ok`` records the violation."""
+        self._checks += 1
+        if not ok:
+            out.append(Violation(invariant, detail))
 
-    def attach(self, until_ns: int) -> "InvariantOracle":
-        """Register the mid-run sampler and the failover hook."""
+    # -- wiring (before the workload starts) ------------------------------
+
+    def attach(self, until_ns: Optional[int] = None) -> "InvariantOracle":
+        """Register the mid-run sampler and the failover hook.
+
+        The sampler re-arms itself on the evidence's driver until
+        ``until_ns`` (``None``: until the driver is closed).
+        """
         if self._attached:
             return self
         self._attached = True
         self._until_ns = until_ns
-        switch = self.handles.switch
-        if switch is not None:
-            self._recirc_limit_baseline = getattr(
-                switch, "recirc_queue_packets", None
-            )
-            if hasattr(switch, "add_install_hook"):
-                # Registered after CheckpointManager/Controller (built by
-                # build_cluster), so this hook observes the *post-restore*
-                # program state on failover.
-                switch.add_install_hook(self._on_install)
-            self._schedule_sample()
+        self._recirc_limit_baseline = self.evidence.recirc_limit()
+        # Registered after CheckpointManager/Controller (built with the
+        # cluster), so the hook observes the *post-restore* program.
+        self.evidence.on_failover(self._on_install)
+        self._schedule_sample()
         return self
 
     def _schedule_sample(self) -> None:
-        sim = self.handles.sim
-        at = sim.now + self.sample_interval_ns
-        if at < self._until_ns:
-            sim.call_at(at, self._sample)
+        driver = self.evidence.driver
+        at = driver.now + self.evidence.sample_interval_ns
+        if self._until_ns is None or at < self._until_ns:
+            driver.call_at_cancellable(at, self._sample)
 
     def _sample(self) -> None:
-        """Cheap register-sanity probe between events (the "during")."""
-        self._samples += 1
-        switch = self.handles.switch
-        if switch is not None and hasattr(switch, "audit"):
-            self._checks += 1
-            try:
-                switch.audit()
-            except SwitchError as exc:
-                self._note_live(
-                    "register-sanity",
-                    f"mid-run audit at t={self.handles.sim.now}: {exc}",
-                )
+        """Cheap register probes between events (the "during")."""
+        found: List[Violation] = []
+        self._probe_registers(
+            found, f"mid-run at t={self.evidence.driver.now}"
+        )
+        for violation in found:
+            family = violation.invariant
+            kept = sum(1 for v in self._sampled if v.invariant == family)
+            if kept >= MAX_SAMPLED_VIOLATIONS:
+                self._suppressed[family] = self._suppressed.get(family, 0) + 1
+            else:
+                self._sampled.append(violation)
         self._schedule_sample()
 
-    def _note_live(self, invariant: str, detail: str) -> None:
-        if len(self._live) >= MAX_LIVE_VIOLATIONS:
-            self._live_suppressed += 1
-            return
-        self._live.append(Violation(invariant, detail))
+    def _probe_registers(self, out: List[Violation], phase: str) -> None:
+        """In-flight bounds + program pointer checks (cheap, reentrant)."""
+        for record in self.evidence.executor_records() or ():
+            self._check(
+                out,
+                "in-flight-bound",
+                0 <= record.in_flight <= record.max_outstanding,
+                f"{phase}: exec{record.executor_id} in_flight="
+                f"{record.in_flight} outside [0, {record.max_outstanding}]",
+            )
+        program = self.evidence.program()
+        if program is not None and hasattr(program, "check_invariants"):
+            try:
+                program.check_invariants()
+                error = None
+            except ReproError as exc:
+                error = exc
+            self._check(
+                out, "register-sanity", error is None, f"{phase}: {error}"
+            )
 
     # -- failover consistency ---------------------------------------------
 
     def _on_install(self, new_program: Any, old_program: Any) -> None:
         """Judge a completed failover: is the restored state explainable?"""
-        self._checks += 1
         if not hasattr(new_program, "queued_keys") or not hasattr(
             old_program, "queued_keys"
         ):
             return
+        now = self.evidence.driver.now
         old_keys = Counter(old_program.queued_keys())
         new_keys = Counter(new_program.queued_keys())
         invented = new_keys - old_keys
-        if invented:
-            sample = sorted(invented)[:3]
-            self._note_live(
-                "failover-consistency",
-                f"failover at t={self.handles.sim.now} installed "
-                f"{sum(invented.values())} queue entr(ies) the old program "
-                f"never held, e.g. {sample}",
-            )
-        lost = old_keys - new_keys
-        manager = getattr(self.handles, "checkpoints", None)
-        if manager is None:
+        self._check(
+            self._sampled,
+            "failover-consistency",
+            not invented,
+            f"failover at t={now} installed {sum(invented.values())} queue "
+            f"entr(ies) the old program never held, e.g. "
+            f"{sorted(invented)[:3]}",
+        )
+        manager = self.evidence.checkpoints()
+        if manager is None or manager.last_report is None:
             # No checkpointing: the paper's cold standby. Losing the queue
             # is the *expected* behaviour; inventing entries is not.
             return
+        lost = old_keys - new_keys
         report = manager.last_report
-        if lost and report is not None:
-            admitted = (
-                report.entries_dropped
-                + report.journal_overflows
-                + report.unmatched_dequeues
-            )
-            if admitted == 0:
-                sample = sorted(lost)[:3]
-                self._note_live(
-                    "failover-consistency",
-                    f"checkpointed failover at t={self.handles.sim.now} lost "
-                    f"{sum(lost.values())} queue entr(ies) with a clean "
-                    f"recovery report (no drops/overflows/unmatched), "
-                    f"e.g. {sample}",
-                )
+        admitted = (
+            report.entries_dropped
+            + report.journal_overflows
+            + report.unmatched_dequeues
+        )
+        self._check(
+            self._sampled,
+            "failover-consistency",
+            not lost or admitted,
+            f"checkpointed failover at t={now} lost {sum(lost.values())} "
+            f"queue entr(ies) with a clean recovery report (no drops/"
+            f"overflows/unmatched), e.g. {sorted(lost)[:3]}",
+        )
 
     # -- final verdict -----------------------------------------------------
 
-    def _program(self) -> Any:
-        """The *currently installed* scheduler program.
-
-        After a ``SwitchFailover`` the cluster handle still points at the
-        pre-failover program, whose orphaned queues legitimately retain
-        entries; all register/quiescence checks must read the live one.
-        """
-        switch = self.handles.switch
-        if switch is not None and hasattr(switch, "program"):
-            program = switch.program
-            if hasattr(program, "total_queued"):
-                return program
-        return self.handles.draconis
-
     def check_final(self) -> OracleReport:
-        """Run every invariant family against the finished cluster."""
-        violations: List[Violation] = list(self._live)
-        if self._live_suppressed:
-            violations.append(
+        """Run every invariant family against the finished run."""
+        out: List[Violation] = list(self._sampled)
+        for invariant, count in sorted(self._suppressed.items()):
+            out.append(
                 Violation(
-                    "register-sanity",
-                    f"... and {self._live_suppressed} more mid-run "
-                    f"violations suppressed",
+                    invariant,
+                    f"... and {count} more mid-run violation(s) suppressed",
                 )
             )
-        self._check_conservation(violations)
-        self._check_lease_safety(violations)
-        self._check_election(violations)
-        self._check_register_sanity(violations)
-        self._check_quiescence(violations)
-        return OracleReport(violations=violations, checks=self._checks)
+        self._check_conservation(out)
+        self._check_lease_safety(out)
+        self._check_election(out)
+        self._check_epochs(out)
+        self._check_register_sanity(out)
+        self._check_quiescence(out)
+        self._check_parser(out)
+        return OracleReport(violations=out, checks=self._checks)
 
     def _check_conservation(self, out: List[Violation]) -> None:
-        collector = self.handles.collector
-        clients = self.handles.clients
-        gave_up: set = set()
-        pending: set = set()
-        for client in clients:
-            gave_up |= client.gave_up_keys()
-            pending |= client.pending_timeout_keys()
-        for key, record in sorted(collector.records.items()):
-            self._checks += 1
-            if record.submitted_at < 0:
-                out.append(
-                    Violation(
-                        "task-conservation",
-                        f"task {key}: lifecycle events recorded but never "
-                        f"submitted (phantom)",
-                    )
-                )
-            elif record.completed_at < 0:
-                if key in gave_up:
-                    continue  # budgeted give-up, accounted for
-                if key in pending:
-                    continue  # retry still in flight at the horizon
-                out.append(
-                    Violation(
-                        "task-conservation",
-                        f"task {key}: submitted but never completed, no "
-                        f"give-up recorded and no retry pending — silently "
-                        f"lost",
-                    )
-                )
-        self._checks += 1
-        if collector.completed_count() > collector.submitted_count():
-            out.append(
-                Violation(
-                    "task-conservation",
-                    f"more completions ({collector.completed_count()}) than "
-                    f"submissions ({collector.submitted_count()})",
-                )
+        ledger = self.evidence.ledger()
+        self._checks += ledger.submitted  # each task's record is accounted
+        for key in sorted(ledger.phantoms):
+            self._check(
+                out,
+                "task-conservation",
+                False,
+                f"task {key}: lifecycle events recorded but never "
+                f"submitted (phantom)",
             )
-        self._checks += 1
-        client_dups = sum(c.stats.duplicate_completions for c in clients)
-        if collector.duplicate_completions > 0 and client_dups == 0:
-            out.append(
-                Violation(
-                    "task-conservation",
-                    f"collector saw {collector.duplicate_completions} "
-                    f"duplicate completions but no client suppressed any — "
-                    f"a duplicate reached the record without a client "
-                    f"noticing",
-                )
+        for key in sorted(ledger.unresolved - ledger.retrying):
+            self._check(
+                out,
+                "task-conservation",
+                False,
+                f"task {key}: submitted but neither completed nor given "
+                f"up, and no retry pending — silently lost",
             )
-        for client in clients:
-            self._checks += 1
-            if client.stats.stray_completions:
-                out.append(
-                    Violation(
-                        "task-conservation",
-                        f"client{client.uid}: {client.stats.stray_completions}"
-                        f" completion(s) for tasks it never submitted",
-                    )
-                )
+        self._check(
+            out,
+            "task-conservation",
+            ledger.completed <= ledger.submitted,
+            f"more completions ({ledger.completed}) than submissions "
+            f"({ledger.submitted})",
+        )
+        accounted = (
+            ledger.completed
+            + len(ledger.gave_up)
+            + len(ledger.unresolved)
+            + len(ledger.phantoms)
+        )
+        self._check(
+            out,
+            "task-conservation",
+            ledger.submitted == accounted,
+            f"bookkeeping mismatch: submitted={ledger.submitted} but "
+            f"done+gave_up+unresolved+phantom={accounted}",
+        )
+        self._check(
+            out,
+            "task-conservation",
+            not ledger.duplicates_recorded or ledger.duplicates_suppressed,
+            f"metrics saw {ledger.duplicates_recorded} duplicate "
+            f"completions but no client suppressed any — a duplicate "
+            f"reached the record without a client noticing",
+        )
+        for client, strays in sorted(ledger.strays.items()):
+            self._check(
+                out,
+                "task-conservation",
+                not strays,
+                f"{client}: {strays} completion(s) for tasks it never "
+                f"submitted",
+            )
 
     def _check_lease_safety(self, out: List[Violation]) -> None:
-        controller = getattr(self.handles, "controller", None)
-        group = getattr(self.handles, "ctrl_group", None)
-        if controller is None and group is not None:
-            # Replicated control plane: lease safety is judged against
-            # the current leader's view (followers keep warm but
-            # non-authoritative tables). Leader absence is the election
-            # family's problem, not a lease violation.
-            controller = group.leader()
+        controller = self.evidence.controller()
         if controller is None:
             return
         audit = controller.audit()
-        self._checks += 1
-        if audit["stale_leases"]:
-            stale = [
-                lease.executor_id for lease in audit["stale_leases"]
-            ]
-            out.append(
-                Violation(
-                    "lease-safety",
-                    f"leases for executors {stale} expired more than one "
-                    f"sweep ago and were never collected",
-                )
-            )
-        self._checks += 1
-        if audit["reclaim_backlog"]:
-            out.append(
-                Violation(
-                    "lease-safety",
-                    f"{audit['reclaim_backlog']} reclaimed entr(ies) still "
-                    f"stuck in the controller backlog after drain",
-                )
-            )
-        program = self._program()
+        stale = [lease.executor_id for lease in audit["stale_leases"]]
+        self._check(
+            out,
+            "lease-safety",
+            not stale,
+            f"leases for executors {stale} expired more than one sweep ago "
+            f"and were never collected",
+        )
+        self._check(
+            out,
+            "lease-safety",
+            not audit["reclaim_backlog"],
+            f"{audit['reclaim_backlog']} reclaimed entr(ies) still stuck in "
+            f"the controller backlog after drain",
+        )
+        program = self.evidence.program()
         if program is not None and hasattr(program, "parked_executor_ids"):
-            self._checks += 1
-            dead_parked = program.parked_executor_ids() - controller.live_executors()
-            if dead_parked:
-                out.append(
-                    Violation(
-                        "lease-safety",
-                        f"parked pulls for executors {sorted(dead_parked)} "
-                        f"whose leases are gone — proactive reclaim missed "
-                        f"them",
-                    )
-                )
+            dead_parked = (
+                program.parked_executor_ids() - controller.live_executors()
+            )
+            self._check(
+                out,
+                "lease-safety",
+                not dead_parked,
+                f"parked pulls for executors {sorted(dead_parked)} whose "
+                f"leases are gone — proactive reclaim missed them",
+            )
 
     def _check_election(self, out: List[Violation]) -> None:
-        switch = self.handles.switch
-        election = getattr(switch, "election", None) if switch else None
+        election = self.evidence.election()
         if election is None or election.term == 0:
             return  # no replicated control plane ran an election
-        self._checks += 1
-        terms = [term for term, _leader, _at in election.history]
-        if terms != sorted(set(terms)):
-            out.append(
-                Violation(
-                    "election-safety",
-                    f"new-term grants are not strictly increasing — two "
-                    f"leaders shared a term: {terms[:10]}",
-                )
-            )
-        self._checks += 1
+        terms = [row[0] for row in election.history]
+        self._check(
+            out,
+            "election-safety",
+            terms == sorted(set(terms)),
+            f"new-term grants are not strictly increasing — two leaders "
+            f"shared a term: {terms[:10]}",
+        )
         deposed = [
             (stamped, reg)
             for stamped, reg in election.actions
             if stamped != reg
         ]
-        if deposed:
-            out.append(
-                Violation(
-                    "election-safety",
-                    f"{len(deposed)} accepted action(s) stamped with a "
-                    f"non-current term — a deposed leader mutated the "
-                    f"switch, e.g. {deposed[:3]}",
-                )
-            )
-        self._checks += 1
+        self._check(
+            out,
+            "election-safety",
+            not deposed,
+            f"{len(deposed)} accepted action(s) stamped with a non-current "
+            f"term — a deposed leader mutated the switch, e.g. {deposed[:3]}",
+        )
         reg_terms = [reg for _stamped, reg in election.actions]
-        if reg_terms != sorted(reg_terms):
-            out.append(
-                Violation(
-                    "election-safety",
-                    "register term moved backwards across accepted actions",
-                )
+        self._check(
+            out,
+            "election-safety",
+            reg_terms == sorted(reg_terms),
+            "register term moved backwards across accepted actions",
+        )
+        replicas = self.evidence.replicas()
+        if replicas is None:
+            return
+        leaders = [rid for rid, leads in replicas if leads]
+        self._check(
+            out,
+            "election-safety",
+            len(leaders) <= 1,
+            f"{len(leaders)} replicas claim live leadership simultaneously: "
+            f"{leaders}",
+        )
+        self._check(
+            out,
+            "election-safety",
+            leaders or not replicas,
+            f"no live leader at the final check despite {len(replicas)} "
+            f"live replica(s) — election stalled",
+        )
+
+    def _check_epochs(self, out: List[Violation]) -> None:
+        for executor_id, epochs in (self.evidence.epoch_history() or {}).items():
+            self._check(
+                out,
+                "epoch-monotonicity",
+                all(a < b for a, b in zip(epochs, epochs[1:])),
+                f"exec{executor_id} acked epochs {epochs}: not strictly "
+                f"increasing",
             )
-        group = getattr(self.handles, "ctrl_group", None)
-        if group is not None:
-            self._checks += 1
-            alive = [r for r in group.replicas if not r.crashed]
-            if alive and group.leader() is None:
-                out.append(
-                    Violation(
-                        "election-safety",
-                        f"no live leader at the horizon despite "
-                        f"{len(alive)} live replica(s) — election stalled",
-                    )
-                )
 
     def _check_register_sanity(self, out: List[Violation]) -> None:
-        program = self._program()
+        final: List[Violation] = []
+        self._probe_registers(final, "final")
+        out.extend(final)
+        program = self.evidence.program()
         if program is None:
             return
-        for i, queue in enumerate(getattr(program, "queues", [])):
-            self._checks += 1
-            try:
-                queue.check_invariants()
-            except SwitchError as exc:
-                out.append(
-                    Violation("register-sanity", f"queue {i}: {exc}")
-                )
-                continue
-            self._checks += 1
-            occupancy = queue.occupancy()
-            entries = len(queue.snapshot_entries())
-            if occupancy != entries:
-                out.append(
-                    Violation(
-                        "register-sanity",
-                        f"queue {i}: occupancy counter says {occupancy} but "
-                        f"{entries} entries are reachable",
-                    )
-                )
-        self._checks += 1
-        if program.parked_pull_count() > program.pull_queue_capacity:
-            out.append(
-                Violation(
+        if not any(v.invariant == "register-sanity" for v in final):
+            # occupancy walks the pointers the probe just vouched for
+            for i, queue in enumerate(getattr(program, "queues", [])):
+                occupancy = queue.occupancy()
+                entries = len(queue.snapshot_entries())
+                self._check(
+                    out,
                     "register-sanity",
-                    f"{program.parked_pull_count()} parked pulls exceed the "
-                    f"capacity register ({program.pull_queue_capacity})",
+                    occupancy == entries,
+                    f"queue {i}: occupancy counter says {occupancy} but "
+                    f"{entries} entries are reachable",
                 )
+        if hasattr(program, "parked_pull_count"):
+            self._check(
+                out,
+                "register-sanity",
+                program.parked_pull_count() <= program.pull_queue_capacity,
+                f"{program.parked_pull_count()} parked pulls exceed the "
+                f"capacity register ({program.pull_queue_capacity})",
             )
 
     def _check_quiescence(self, out: List[Violation]) -> None:
-        program = self._program()
+        program = self.evidence.program()
         if program is not None:
-            self._checks += 1
             queued = program.total_queued()
-            if queued:
-                keys = program.queued_keys()[:3]
-                out.append(
-                    Violation(
-                        "quiescence",
-                        f"{queued} task(s) still queued in the switch after "
-                        f"drain, e.g. {keys}",
-                    )
-                )
+            self._check(
+                out,
+                "quiescence",
+                not queued,
+                f"{queued} task(s) still queued in the switch after drain, "
+                f"e.g. {program.queued_keys()[:3] if queued else []}",
+            )
         # every fault window must have closed behind itself
-        if self.injector is not None:
-            for link in self.injector._touched_links:
-                self._checks += 1
-                hook = link.fault_hook
-                active = getattr(hook, "active", [])
-                if active:
-                    out.append(
-                        Violation(
-                            "quiescence",
-                            f"link {link.name}: {len(active)} degradation(s) "
-                            f"still active after every fault window closed",
-                        )
-                    )
-        for worker in self.handles.workers:
-            executors = getattr(worker, "executors", None)
-            if executors is None:
-                continue
-            if getattr(worker, "crashed", False):
-                continue  # permanently-crashed workers keep whatever state
-            for executor in executors:
-                self._checks += 1
-                if executor.speed_factor != 1.0:
-                    out.append(
-                        Violation(
-                            "quiescence",
-                            f"executor {executor.executor_id} speed factor "
-                            f"stuck at {executor.speed_factor} after the "
-                            f"slowdown window closed",
-                        )
-                    )
-        switch = self.handles.switch
-        if (
-            switch is not None
-            and self._recirc_limit_baseline is not None
-        ):
-            self._checks += 1
-            if switch.recirc_queue_packets != self._recirc_limit_baseline:
-                out.append(
-                    Violation(
-                        "quiescence",
-                        f"recirculation limit left at "
-                        f"{switch.recirc_queue_packets}, baseline was "
-                        f"{self._recirc_limit_baseline}",
-                    )
-                )
+        for detail in self.evidence.residual_faults() or ():
+            self._check(out, "quiescence", False, detail)
+        for executor, factor in self.evidence.executor_speeds():
+            self._check(
+                out,
+                "quiescence",
+                factor == 1.0,
+                f"executor {executor} speed factor stuck at {factor} after "
+                f"the slowdown window closed",
+            )
+        if self._recirc_limit_baseline is not None:
+            limit = self.evidence.recirc_limit()
+            self._check(
+                out,
+                "quiescence",
+                limit == self._recirc_limit_baseline,
+                f"recirculation limit left at {limit}, baseline was "
+                f"{self._recirc_limit_baseline}",
+            )
+
+    def _check_parser(self, out: List[Violation]) -> None:
+        crashes = self.evidence.parser_crashes()
+        if crashes is not None:
+            self._check(
+                out,
+                "parser-robustness",
+                not crashes,
+                f"codec raised non-ProtocolError on {crashes} corrupted "
+                f"frame(s)",
+            )

@@ -17,7 +17,7 @@ keeps returning True, in three phases:
 
 The predicate is typically "re-run the scenario with this candidate
 plan and check whether the original invariant family still trips"
-(see :meth:`~repro.verify.fuzzer.FaultFuzzer.shrink_failure`). The
+(see :func:`~repro.verify.fuzzer.shrink_failure`). The
 shrinker itself is fully deterministic — no randomness, pure
 candidate enumeration — so the same failing plan always shrinks to
 the same minimal reproduction, and every candidate evaluation counts

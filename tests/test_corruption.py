@@ -11,6 +11,7 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     PacketCorruption,
+    SimTargets,
     chaos_for,
 )
 from repro.metrics import summarize_links
@@ -111,7 +112,9 @@ class TestCorruptionEvent:
             ]
         )
         injector = FaultInjector(
-            cluster.sim, plan, cluster.topology, workers=cluster.workers
+            cluster.sim,
+            plan,
+            SimTargets(cluster.sim, cluster.topology, workers=cluster.workers),
         ).arm()
         cluster.sim.run(until=ms(40))
         assert injector.stats.corruptions == 1
@@ -121,7 +124,7 @@ class TestCorruptionEvent:
         # completes despite the corruption window (client timeouts repair)
         assert cluster.client.stats.tasks_completed == cluster.tasks
         # windows close behind themselves
-        for link in injector._touched_links:
+        for link in injector.targets.touched_links:
             assert link.fault_hook.active == []
 
 

@@ -15,15 +15,19 @@ import pytest
 from repro.cluster import Client, ClientConfig, SubmitEvent, TaskSpec, Worker, WorkerSpec
 from repro.core import DraconisProgram
 from repro.errors import ConfigurationError
+from repro.live.base import WallTimers
 from repro.faults import (
+    ControllerCrash,
     Degradation,
     FaultInjector,
     FaultPlan,
     LinkFault,
     Partition,
     RecircExhaustion,
+    SimTargets,
     SwitchFailover,
     WorkerCrash,
+    WorkerSlowdown,
     chaos_for,
     event_end,
     event_start,
@@ -85,6 +89,12 @@ def build_cluster(
         workers=worker_objs,
         client=client,
         tasks=tasks,
+    )
+
+
+def sim_targets(cluster, **kwargs):
+    return SimTargets(
+        cluster.sim, cluster.topology, workers=cluster.workers, **kwargs
     )
 
 
@@ -285,9 +295,7 @@ class TestInjectorAndSwitch:
     def test_failover_requires_program_factory(self):
         cluster = build_cluster(tasks=0)
         plan = FaultPlan([SwitchFailover(at_ns=us(10))])
-        injector = FaultInjector(
-            cluster.sim, plan, cluster.topology, workers=cluster.workers
-        )
+        injector = FaultInjector(cluster.sim, plan, sim_targets(cluster))
         with pytest.raises(ConfigurationError):
             injector.arm()
 
@@ -307,9 +315,10 @@ class TestInjectorAndSwitch:
         FaultInjector(
             cluster.sim,
             plan,
-            cluster.topology,
-            workers=cluster.workers,
-            program_factory=lambda: DraconisProgram(queue_capacity=512),
+            sim_targets(
+                cluster,
+                program_factory=lambda: DraconisProgram(queue_capacity=512),
+            ),
         ).arm()
         cluster.sim.run(until=ms(40))
         assert cluster.switch.stats.failovers == 1
@@ -321,7 +330,7 @@ class TestInjectorAndSwitch:
             [Partition(start_ns=us(200), end_ns=us(700), nodes=("worker0",))]
         )
         injector = FaultInjector(
-            cluster.sim, plan, cluster.topology, workers=cluster.workers
+            cluster.sim, plan, sim_targets(cluster)
         ).arm()
         cluster.sim.run(until=ms(40))
         totals = injector.injected_totals()
@@ -334,9 +343,7 @@ class TestInjectorAndSwitch:
         plan = FaultPlan(
             [RecircExhaustion(start_ns=us(100), end_ns=us(500), queue_packets=0)]
         )
-        FaultInjector(
-            cluster.sim, plan, cluster.topology, workers=cluster.workers
-        ).arm()
+        FaultInjector(cluster.sim, plan, sim_targets(cluster)).arm()
         cluster.sim.run(until=us(300))
         assert cluster.switch.recirc_queue_packets == 0
         cluster.sim.run(until=ms(1))
@@ -354,9 +361,7 @@ class TestInjectorAndSwitch:
                 RecircExhaustion(start_ns=us(300), end_ns=us(700), queue_packets=1),
             ]
         )
-        FaultInjector(
-            cluster.sim, plan, cluster.topology, workers=cluster.workers
-        ).arm()
+        FaultInjector(cluster.sim, plan, sim_targets(cluster)).arm()
         cluster.sim.run(until=us(400))
         assert cluster.switch.recirc_queue_packets == 1
         cluster.sim.run(until=us(600))
@@ -368,9 +373,7 @@ class TestInjectorAndSwitch:
     def test_unknown_worker_node_rejected(self):
         cluster = build_cluster(workers=1, tasks=0)
         plan = FaultPlan([WorkerCrash(at_ns=us(10), node_id=99)])
-        injector = FaultInjector(
-            cluster.sim, plan, cluster.topology, workers=cluster.workers
-        )
+        injector = FaultInjector(cluster.sim, plan, sim_targets(cluster))
         with pytest.raises(ConfigurationError):
             injector.arm()
 
@@ -379,22 +382,178 @@ class TestInjectorAndSwitch:
         plan = FaultPlan(
             [Partition(start_ns=0, end_ns=1000, nodes=("ghost-host",))]
         )
-        injector = FaultInjector(
-            cluster.sim, plan, cluster.topology, workers=cluster.workers
-        )
+        injector = FaultInjector(cluster.sim, plan, sim_targets(cluster))
         with pytest.raises(ConfigurationError):
             injector.arm()
 
     def test_arm_is_idempotent(self):
         cluster = build_cluster(workers=1, tasks=0)
         plan = FaultPlan([WorkerCrash(at_ns=us(10), node_id=0)])
-        injector = FaultInjector(
-            cluster.sim, plan, cluster.topology, workers=cluster.workers
-        )
+        injector = FaultInjector(cluster.sim, plan, sim_targets(cluster))
         injector.arm()
         injector.arm()
         cluster.sim.run(until=ms(1))
         assert injector.stats.worker_crashes == 1
+
+
+class RecordingTargets:
+    """Fake *targets*: logs every action with the driver time it fired."""
+
+    def __init__(self, driver):
+        self.driver = driver
+        self.log = []
+        self.down = set()
+        self.speed = {}
+        self.recirc_limit = 16
+        self.program = 0
+        self.ctrl_down = set()
+
+    def _note(self, action, target):
+        self.log.append((self.driver.now, action, target))
+
+    def check(self, event):
+        return True
+
+    def crash(self, node_id):
+        self._note("crash", node_id)
+        self.down.add(node_id)
+
+    def restart(self, node_id):
+        self._note("restart", node_id)
+        self.down.discard(node_id)
+
+    def set_speed(self, node_id, factor):
+        self._note("set_speed", (node_id, factor))
+        self.speed[node_id] = factor
+
+    def failover(self):
+        self._note("failover", None)
+        self.program += 1
+
+    def ctrl_crash(self, replica_id):
+        self._note("ctrl_crash", replica_id)
+        self.ctrl_down.add(replica_id)
+
+    def ctrl_restart(self, replica_id):
+        self._note("ctrl_restart", replica_id)
+        self.ctrl_down.discard(replica_id)
+
+    def set_recirc_limit(self, queue_packets):
+        self._note("set_recirc_limit", queue_packets)
+        previous, self.recirc_limit = self.recirc_limit, queue_packets
+        return previous
+
+    def wire(self, event):
+        return None
+
+    def final_state(self):
+        return (
+            self.down,
+            self.speed,
+            self.recirc_limit,
+            self.program,
+            self.ctrl_down,
+        )
+
+
+class FakeHandle:
+    def __init__(self, when, callback):
+        self.when = when
+        self.callback = callback
+        self.dead = False
+
+    def cancel(self):
+        self.dead = True
+
+    def cancelled(self):
+        return self.dead
+
+
+class FakeLoop:
+    """``loop.call_later`` on a virtual clock (FIFO among equal deadlines)
+    that doubles as the ``clock.now`` nanosecond reading."""
+
+    def __init__(self):
+        self.now_s = 0.0
+        self._timers = []
+
+    @property
+    def now(self):
+        return round(self.now_s * 1e9)
+
+    def call_later(self, delay_s, callback):
+        handle = FakeHandle(self.now_s + delay_s, callback)
+        self._timers.append(handle)
+        return handle
+
+    def run(self):
+        while self._timers:
+            handle = min(self._timers, key=lambda h: h.when)
+            self._timers.remove(handle)
+            if not handle.dead:
+                self.now_s = handle.when
+                handle.callback()
+
+
+class TestInjectorParity:
+    """One injector, two clocks: the same plan must produce the same
+    ordered actions and the same restored state under the simulator and
+    under the asyncio driver."""
+
+    PLAN = FaultPlan(
+        [
+            WorkerCrash(at_ns=ms(2), node_id=0, restart_after_ns=ms(3)),
+            WorkerSlowdown(start_ns=ms(1), end_ns=ms(6), node_id=1, factor=3.0),
+            WorkerSlowdown(start_ns=ms(4), end_ns=ms(8), node_id=1, factor=5.0),
+            RecircExhaustion(start_ns=ms(1), end_ns=ms(5), queue_packets=2),
+            RecircExhaustion(start_ns=ms(3), end_ns=ms(7), queue_packets=1),
+            SwitchFailover(at_ns=ms(4)),
+            ControllerCrash(at_ns=ms(5), replica_id=0, restart_after_ns=None),
+            WorkerCrash(at_ns=ms(9), node_id=2, restart_after_ns=None),
+        ]
+    )
+
+    def run_sim(self):
+        sim = Simulator()
+        targets = RecordingTargets(sim)
+        injector = FaultInjector(sim, self.PLAN, targets).arm()
+        sim.run()
+        return targets, injector
+
+    def run_wall(self):
+        loop = FakeLoop()
+        timers = WallTimers(loop, loop=loop)
+        targets = RecordingTargets(timers)
+        injector = FaultInjector(timers, self.PLAN, targets).arm()
+        assert not timers.idle()
+        loop.run()
+        assert timers.idle()
+        return targets, injector
+
+    def test_same_actions_same_order_same_final_state(self):
+        on_sim, sim_injector = self.run_sim()
+        on_wall, wall_injector = self.run_wall()
+        assert on_sim.log == on_wall.log
+        assert on_sim.final_state() == on_wall.final_state()
+        assert sim_injector.stats == wall_injector.stats
+        # and the state the shared logic is responsible for restoring
+        assert on_sim.speed == {1: 1.0}
+        assert on_sim.recirc_limit == 16  # the shared baseline
+        assert on_sim.down == {2}
+        assert on_sim.ctrl_down == {0}
+        assert [action for _, action, _ in on_sim.log].count(
+            "set_recirc_limit"
+        ) == 3  # two exhaustions, one restore to the baseline
+
+    def test_unsupported_events_are_counted_not_scheduled(self):
+        sim = Simulator()
+        targets = RecordingTargets(sim)
+        targets.check = lambda event: not isinstance(event, RecircExhaustion)
+        injector = FaultInjector(sim, self.PLAN, targets).arm()
+        sim.run()
+        assert injector.stats.unsupported_events == 2
+        assert injector.stats.recirc_exhaustions == 0
+        assert targets.recirc_limit == 16
 
 
 class TestPullParking:

@@ -1,21 +1,22 @@
 """Tests for the live chaos layer: fault-injecting transports, the
 process-fault injector plumbing, scenario/artifact serialization, and
-the wall-clock invariant oracle.
+the shared invariant oracle over live evidence.
 
 Same split as test_live.py: unit tests drive :class:`ChaosTransport`
-and :class:`LiveInvariantOracle` against fakes (no sockets, fully
-deterministic), and a handful of short end-to-end scenarios run real
+and ``InvariantOracle(LiveEvidence(...))`` against fakes (no sockets,
+fully deterministic), and a handful of short end-to-end scenarios run real
 loopback UDP through :func:`run_live_chaos` — including the seeded
 executor-crash scenario that must demonstrably re-register with zero
 lost tasks.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, LiveTimeoutError
+from repro.errors import ConfigurationError, LiveTimeoutError, SwitchError
 from repro.faults.events import (
     LinkFault,
     PacketCorruption,
@@ -23,12 +24,11 @@ from repro.faults.events import (
     SwitchFailover,
     WorkerCrash,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import LIVE_GRAMMAR, FaultPlan
 from repro.live.chaos import (
     ChaosNet,
     ChaosScenario,
     run_live_chaos,
-    sample_live_plan,
     sample_scenario,
 )
 from repro.protocol import codec
@@ -38,7 +38,8 @@ from repro.verify.artifact import (
     load_live_artifact,
     save_live_artifact,
 )
-from repro.verify.live_oracle import LiveInvariantOracle
+from repro.verify.evidence import LiveEvidence
+from repro.verify.oracle import InvariantOracle
 
 
 class FakeClock:
@@ -160,6 +161,29 @@ class TestChaosTransport:
         transport.sendto(PAYLOAD, ("127.0.0.1", 60000))  # client link
         assert len(inner.sent) == 1
 
+    def test_controller_partition_cuts_both_directions(self):
+        # A link is named by its non-switch end: a partitioned
+        # controller must lose its own ElectionRequests to the switch,
+        # not only the acks coming back, or the isolated leader keeps
+        # renewing its lease and no follower can ever take over.
+        net = make_net([Partition(nodes=("ctrl0",), **WINDOW)])
+        switch_endpoint = ("127.0.0.1", 9999)
+        switch, switch_inner = wrap(net, "switch", switch_endpoint)
+        ctrl0, ctrl0_inner = wrap(net, "ctrl0", ("127.0.0.1", 50010))
+        ctrl1, ctrl1_inner = wrap(net, "ctrl1", ("127.0.0.1", 50011))
+        ctrl0.sendto(PAYLOAD, switch_endpoint)
+        assert ctrl0_inner.sent == []
+        switch.sendto(PAYLOAD, ("127.0.0.1", 50010))
+        assert switch_inner.sent == []
+        # peer-to-peer sync crosses both peers' links
+        ctrl1.sendto(PAYLOAD, ("127.0.0.1", 50010))
+        ctrl0.sendto(PAYLOAD, ("127.0.0.1", 50011))
+        assert ctrl1_inner.sent == [] and ctrl0_inner.sent == []
+        assert net.counters["partition_drops"] == 4
+        # the healthy replica still reaches the switch
+        ctrl1.sendto(PAYLOAD, switch_endpoint)
+        assert len(ctrl1_inner.sent) == 1
+
     def test_windows_closed_tracks_last_end(self):
         net = make_net([LinkFault(loss_prob=0.5, **WINDOW)], now_ns=0)
         assert not net.windows_closed()
@@ -171,11 +195,12 @@ class TestLivePlanGrammar:
     HORIZON = 300_000_000
 
     def sample(self, seed, max_events=5):
-        return sample_live_plan(
+        return FaultPlan.fuzzed(
             np.random.default_rng(seed),
-            horizon_ns=self.HORIZON,
-            executor_ids=[0, 1, 2],
+            self.HORIZON,
+            worker_nodes=[0, 1, 2],
             max_events=max_events,
+            grammar=LIVE_GRAMMAR,
         )
 
     def test_deterministic_in_seed(self):
@@ -219,6 +244,9 @@ class StubProgram:
     def check_invariants(self):
         pass
 
+    def total_queued(self):
+        return 0
+
 
 class StubSwitch:
     def __init__(self, records=(), epoch_history=None):
@@ -226,12 +254,13 @@ class StubSwitch:
         self.epoch_history = epoch_history if epoch_history is not None else {}
         self.program = StubProgram()
 
-    def total_queued(self):
-        return 0
+    def add_install_hook(self, hook):
+        pass
 
 
 class StubClient:
     def __init__(self, submitted=0, done=0, gave_up=0, pending=(), phantoms=0):
+        self.uid = 0
         self.counters = {"phantoms": phantoms}
         self.tasks_submitted = submitted
         self.completed_count = done
@@ -245,10 +274,13 @@ class StubClient:
     def pending_keys(self):
         return set(self._pending)
 
+    def gave_up_keys(self):
+        return set()
+
 
 def check(switch, client):
-    oracle = LiveInvariantOracle(
-        switch=switch, client=client, executors={}
+    oracle = InvariantOracle(
+        LiveEvidence(switch=switch, client=client, executors={})
     )
     return oracle.check_final()
 
@@ -280,6 +312,56 @@ class TestLiveOracle:
             StubSwitch([StubRecord(1, in_flight=5)]), StubClient()
         )
         assert "in-flight-bound" in {v.invariant for v in report.violations}
+
+    def test_in_flight_bound_skips_disturbed_executors(self):
+        # A lost completion leaves the switch's credit counter
+        # over-counting until the resync (by design), and pulls parked
+        # under the stale count are still served: the bound only binds
+        # executors whose link never lost, duplicated or delayed a packet.
+        net = make_net([LinkFault(loss_prob=1.0, nodes=("exec1",), **WINDOW)])
+        transport, _inner = wrap(net, "exec1")
+        transport.sendto(PAYLOAD)
+        assert net.disturbed == {"exec1"}
+        switch = StubSwitch(
+            [StubRecord(1, in_flight=3), StubRecord(2, in_flight=3)]
+        )
+        report = InvariantOracle(
+            LiveEvidence(
+                switch=switch, client=StubClient(), executors={}, chaos=net
+            )
+        ).check_final()
+        flagged = [
+            v.detail for v in report.violations
+            if v.invariant == "in-flight-bound"
+        ]
+        assert len(flagged) == 1 and "exec2" in flagged[0]
+
+    def test_suppressed_samples_reported_under_their_own_family(self):
+        # One broken check repeats every sample; past the cap the rest
+        # are only counted. The count must be reported under the family
+        # that overflowed (the live oracle used to file every suppressed
+        # sample under in-flight-bound, the sim one under
+        # register-sanity), or the shrinker chases the wrong invariant.
+        class BrokenProgram(StubProgram):
+            def check_invariants(self):
+                raise SwitchError("head pointer outside window")
+
+        switch = StubSwitch([StubRecord(1, in_flight=1)])
+        switch.program = BrokenProgram()
+        driver = SimpleNamespace(now=0, call_at_cancellable=lambda *a: None)
+        oracle = InvariantOracle(
+            LiveEvidence(
+                switch=switch, client=StubClient(), executors={}, driver=driver
+            )
+        )
+        for _ in range(25):
+            oracle._sample()
+        report = oracle.check_final()
+        suppressed = [v for v in report.violations if "suppressed" in v.detail]
+        assert [(v.invariant, v.detail.split()[2]) for v in suppressed] == [
+            ("register-sanity", "5")
+        ]
+        assert report.invariants_violated() == ["register-sanity"]
 
     def test_pending_after_drain_flagged(self):
         report = check(
@@ -318,8 +400,8 @@ def crash_run():
 class TestEndToEndChaos:
     def test_crash_triggers_reregistration_zero_loss(self, crash_run):
         assert crash_run.ok, [str(v) for v in crash_run.violations]
-        assert crash_run.injected.get("crashes", 0) == 1
-        assert crash_run.injected.get("restarts", 0) == 1
+        assert crash_run.injected.get("worker_crashes", 0) == 1
+        assert crash_run.injected.get("worker_restarts", 0) == 1
         assert crash_run.reregistrations >= 1
         assert len(crash_run.epoch_history[0]) >= 2
         assert crash_run.result.tasks_lost == 0

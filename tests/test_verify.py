@@ -16,13 +16,14 @@ from repro.experiments import common
 from repro.faults import FaultPlan, RecircExhaustion, WorkerCrash
 from repro.sim.core import ms, us
 from repro.verify import (
-    FaultFuzzer,
     FuzzScenario,
     InvariantOracle,
+    SimEvidence,
     load_artifact,
     run_scenario,
     sample_scenario,
     save_artifact,
+    shrink_failure,
 )
 from repro.verify.replay import replay
 
@@ -71,7 +72,7 @@ class TestOracle:
             scheduler="draconis", workers=1, executors_per_worker=2, seed=0
         )
         handles = common.build_cluster(config, [[]])
-        oracle = InvariantOracle(handles).attach(ms(2))
+        oracle = InvariantOracle(SimEvidence(handles)).attach(ms(2))
         handles.sim.run(until=ms(2))
         return handles, oracle
 
@@ -163,8 +164,7 @@ class TestArtifacts:
 
 class TestCampaign:
     def test_small_campaign_runs_clean(self):
-        fuzzer = FaultFuzzer(iterations=3, base_seed=0, jobs=1)
-        scenarios = [small(s) for s in fuzzer.scenarios()]
+        scenarios = [small(sample_scenario(seed)) for seed in range(3)]
         results = [run_scenario(s) for s in scenarios]
         assert len(results) == 3
         assert all(r.ok for r in results), [
@@ -192,8 +192,7 @@ class TestCampaign:
         assert not result.ok
         assert "quiescence" in result.invariants_violated()
 
-        fuzzer = FaultFuzzer(shrink_attempts=60)
-        failure = fuzzer.shrink_failure(result)
+        failure = shrink_failure(result, max_attempts=60)
         assert failure.minimized_events <= 2
         assert failure.minimized_events < failure.original_events
         minimal = FaultPlan.from_json(failure.minimized.plan_json)

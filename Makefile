@@ -67,7 +67,7 @@ live-smoke:
 	$(PY) -m repro.live.conformance --seed 42 --duration 0.25 --out live-conformance.json
 
 live-chaos:
-	$(PY) -m repro.experiments.fuzz --runtime live --seed 42 --runs 10 --artifact-dir live-chaos-artifacts --out live-chaos-summary.json
+	$(PY) -m repro.experiments.fuzz --runtime live --seed 42 --runs 10 --max-events 5 --artifact-dir live-chaos-artifacts --out live-chaos-summary.json
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; $(PY) $$f || exit 1; done

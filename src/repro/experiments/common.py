@@ -40,6 +40,7 @@ from repro.ctrl import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments import calibration
+from repro.faults import FaultInjector, FaultPlan, SimTargets
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import (
     LatencySummary,
@@ -178,6 +179,22 @@ class ClusterHandles:
     controller: Optional[Controller] = None
     ctrl_group: Optional[ControllerGroup] = None
     checkpoints: Optional[CheckpointManager] = None
+
+
+def arm_faults(
+    handles: ClusterHandles, config: ClusterConfig, plan: FaultPlan, rng
+) -> FaultInjector:
+    """Arm ``plan`` on a built cluster with every fault target wired."""
+    targets = SimTargets(
+        handles.sim,
+        handles.topology,
+        workers=handles.workers,
+        switch=handles.switch,
+        controllers=handles.ctrl_group or handles.controller,
+        program_factory=config.standby_program,
+        rng=rng,
+    )
+    return FaultInjector(handles.sim, plan, targets).arm()
 
 
 @dataclass

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import common
 from repro.experiments.parallel_runner import add_jobs_argument, parallel_map
-from repro.faults import FaultInjector, FaultPlan, SimTargets
+from repro.faults import FaultPlan
 from repro.faults.events import ControllerCrash, WorkerCrash
 from repro.sim.core import ms
 from repro.sim.rng import RngStreams
@@ -157,18 +157,7 @@ def run_ha(
             ),
         ]
     )
-    FaultInjector(
-        handles.sim,
-        plan,
-        SimTargets(
-            handles.sim,
-            handles.topology,
-            workers=handles.workers,
-            switch=handles.switch,
-            rng=rngs.stream("ha-injector"),
-            controllers=group or handles.controller,
-        ),
-    ).arm()
+    common.arm_faults(handles, config, plan, rngs.stream("ha-injector"))
 
     handles.sim.run(until=duration_ns + drain_ns)
 

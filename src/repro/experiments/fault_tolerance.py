@@ -31,9 +31,7 @@ from repro.experiments import common
 from repro.experiments.parallel_runner import add_jobs_argument, parallel_map
 from repro.faults import (
     PLAN_KINDS,
-    FaultInjector,
     FaultPlan,
-    SimTargets,
     event_end,
     event_start,
 )
@@ -204,18 +202,9 @@ def run_chaos(
         kind=kind,
     )
 
-    injector = FaultInjector(
-        handles.sim,
-        plan,
-        SimTargets(
-            handles.sim,
-            handles.topology,
-            workers=handles.workers,
-            switch=handles.switch,
-            program_factory=config.standby_program,
-            rng=rngs.stream("chaos-injector"),
-        ),
-    ).arm()
+    injector = common.arm_faults(
+        handles, config, plan, rngs.stream("chaos-injector")
+    )
 
     handles.sim.run(until=duration_ns + drain_ns)
 

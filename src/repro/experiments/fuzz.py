@@ -8,15 +8,15 @@
 Each run derives one scenario from ``seed + run index`` — a workload, a
 fault plan from the shared grammar (:meth:`FaultPlan.fuzzed`) and the
 cluster feature toggles — executes it, and judges it with the shared
-:class:`~repro.verify.oracle.InvariantOracle`. Exit status is 0 iff
-every run upheld every invariant.
+:class:`~repro.verify.oracle.InvariantOracle`. A failing run is written
+to ``--artifact-dir``. Exit status is 0 iff every run upheld every
+invariant.
 
 ``--runtime sim`` (default) runs Draconis clusters in the simulator,
-fanned out over ``--jobs`` cores. Every failure is shrunk (at most
-``--shrink-attempts`` re-runs) and produces two artifacts in
-``--artifact-dir``: the original failing run (``seedN.json``) and the
-minimal reproduction (``seedN.min.json``), either replayable bit for bit
-with ``python -m repro.verify.replay``.
+fanned out over ``--jobs`` cores. Every failure is also shrunk (at most
+``--shrink-attempts`` re-runs): beside the original failing run
+(``seedN.json``) lands the minimal reproduction (``seedN.min.json``),
+either replayable bit for bit with ``python -m repro.verify.replay``.
 
 ``--runtime live`` runs on loopback UDP sockets, one scenario at a time
 (``--duration`` workload seconds each, ``--timeout-s`` hard cap). A live
@@ -24,7 +24,7 @@ failure replays the *decisions* deterministically (same plan, same RNG
 draws) but not the wall-clock interleaving, so its artifact
 (``live_chaos_seedN.json``) pins the scenario and records the observed
 evidence rather than promising bit-identical reproduction (DESIGN.md
-§9.4).
+§9.4) — and there is nothing to shrink against.
 """
 
 from __future__ import annotations
@@ -33,99 +33,21 @@ import argparse
 import json
 import os
 import time
-from types import SimpleNamespace
-from typing import Any, Dict, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import LiveTimeoutError
 from repro.experiments.parallel_runner import add_jobs_argument, parallel_map
+from repro.faults import FaultPlan
 from repro.live import chaos
 from repro.verify import fuzzer
-from repro.verify.artifact import save_artifact, save_live_artifact
+from repro.verify.artifact import save_artifact
+from repro.verify.oracle import Violation
 
-#: what the shared flags default to, and which flags only one runtime has
-#: (with their defaults there)
-_DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "sim": dict(seed=0, runs=60, max_events=8),
-    "live": dict(seed=42, runs=10, max_events=5),
-}
-_ONLY: Dict[str, Dict[str, Any]] = {
+#: flags only one runtime has, with their defaults there
+_ONLY = {
     "sim": dict(jobs=None, shrink_attempts=200),
     "live": dict(duration=0.3, timeout_s=60.0),
 }
-
-
-def _sim_campaign(args) -> Iterator[Any]:
-    """All scenarios across ``--jobs`` cores, then shrink the failures."""
-    results = parallel_map(
-        fuzzer.run_scenario,
-        [
-            fuzzer.sample_scenario(
-                seed,
-                max_events=args.max_events,
-                controller_replicas=args.controller_replicas,
-            )
-            for seed in range(args.seed, args.seed + args.runs)
-        ],
-        jobs=args.jobs,
-    )
-    for result in results:
-        yield result
-        if result.ok:
-            continue
-        failure = fuzzer.shrink_failure(result, args.shrink_attempts)
-        print(
-            f"  shrunk {failure.original_events} -> "
-            f"{failure.minimized_events} event(s) in "
-            f"{failure.shrink_attempts} attempts"
-        )
-        if args.artifact_dir:
-            stem = os.path.join(args.artifact_dir, f"seed{result.scenario.seed}")
-            save_artifact(result, stem + ".json")
-            # the minimized artifact records the *minimized* run's own
-            # outcome so replay compares against what it reproduces
-            save_artifact(
-                fuzzer.run_scenario(failure.minimized), stem + ".min.json"
-            )
-            print(f"  wrote {stem}.json and {stem}.min.json")
-
-
-def _timed_out(seed: int, error: LiveTimeoutError) -> SimpleNamespace:
-    """A live run that hit the hard cap: no verdict, only the diagnosis."""
-    return SimpleNamespace(
-        ok=False,
-        violations=[],
-        checks=0,
-        row=lambda: f"seed={seed:<6d} TIMEOUT\n  {error}",
-        summary=lambda: {"seed": seed, "ok": False, "timeout": True},
-    )
-
-
-def _live_campaign(args) -> Iterator[Any]:
-    """One scenario at a time on loopback sockets."""
-    for seed in range(args.seed, args.seed + args.runs):
-        scenario = chaos.sample_scenario(
-            seed,
-            max_events=args.max_events,
-            duration_s=args.duration,
-            controller_replicas=args.controller_replicas,
-        )
-        try:
-            run = chaos.run_live_chaos(scenario, timeout_s=args.timeout_s or None)
-        except LiveTimeoutError as exc:
-            yield _timed_out(seed, exc)
-            continue
-        yield run
-        if not run.ok:
-            print(f"  plan: {scenario.plan().describe()}")
-            if args.artifact_dir:
-                path = os.path.join(
-                    args.artifact_dir, f"live_chaos_seed{seed}.json"
-                )
-                save_live_artifact(run, path)
-                print(f"  artifact: {path}")
-
-
-_CAMPAIGNS = {"sim": _sim_campaign, "live": _live_campaign}
 
 
 def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
@@ -133,17 +55,13 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--runtime", choices=sorted(_CAMPAIGNS), default="sim")
+    parser.add_argument("--runtime", choices=sorted(_ONLY), default="sim")
     parser.add_argument(
-        "--seed", type=int, help="first scenario seed (sim: 0, live: 42)"
+        "--seed", type=int, default=0, help="first scenario seed"
     )
+    parser.add_argument("--runs", type=int, default=60, help="scenarios to run")
     parser.add_argument(
-        "--runs", type=int, help="scenarios to run (sim: 60, live: 10)"
-    )
-    parser.add_argument(
-        "--max-events",
-        type=int,
-        help="fault events per plan cap (sim: 8, live: 5)",
+        "--max-events", type=int, default=8, help="fault events per plan cap"
     )
     parser.add_argument(
         "--controller-replicas",
@@ -182,10 +100,23 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
                     f"--{flag.replace('_', '-')} only applies to "
                     f"--runtime {runtime}"
                 )
-    for flag, default in _DEFAULTS[args.runtime].items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
     return args
+
+
+def _run_live(scenario, timeout_s: Optional[float]) -> fuzzer.FuzzResult:
+    """One live run; hitting the hard cap is a verdict, not a crash."""
+    try:
+        return chaos.run_live_chaos(scenario, timeout_s=timeout_s)
+    except LiveTimeoutError as exc:
+        return fuzzer.FuzzResult(
+            scenario=scenario,
+            ok=False,
+            violations=[Violation("timeout", str(exc))],
+            checks=0,
+            tasks_submitted=0,
+            tasks_completed=0,
+            faults_fired=0,
+        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -197,16 +128,64 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{args.seed}, <= {args.max_events} fault events each"
     )
     started = time.monotonic()
+    pins = dict(
+        max_events=args.max_events,
+        controller_replicas=args.controller_replicas,
+    )
+    seeds = range(args.seed, args.seed + args.runs)
+    if args.runtime == "sim":
+        results = parallel_map(
+            fuzzer.run_scenario,
+            [fuzzer.sample_scenario(seed, **pins) for seed in seeds],
+            jobs=args.jobs,
+        )
+        stem = "seed"
+    else:
+        # wall-clock runs must not compete for cores: one at a time
+        results = (
+            _run_live(
+                chaos.sample_scenario(seed, duration_s=args.duration, **pins),
+                args.timeout_s or None,
+            )
+            for seed in seeds
+        )
+        stem = "live_chaos_seed"
+
     failures = 0
     checks = 0
     summary = []
-    for result in _CAMPAIGNS[args.runtime](args):
+    for result in results:
         print(result.row())
-        for violation in result.violations:
-            print(f"  ! {violation}")
-        failures += not result.ok
         checks += result.checks
         summary.append(result.summary())
+        if result.ok:
+            continue
+        failures += 1
+        for violation in result.violations:
+            print(f"  ! {violation}")
+        plan = FaultPlan.from_json(result.scenario.plan_json)
+        print(f"  plan: {plan.describe()}")
+        path = None
+        if args.artifact_dir:
+            path = os.path.join(
+                args.artifact_dir, f"{stem}{result.scenario.seed}"
+            )
+            save_artifact(result, path + ".json")
+            print(f"  artifact: {path}.json")
+        if args.runtime == "sim":
+            failure = fuzzer.shrink_failure(result, args.shrink_attempts)
+            print(
+                f"  shrunk {failure.original_events} -> "
+                f"{failure.minimized_events} event(s) in "
+                f"{failure.shrink_attempts} attempts"
+            )
+            if path:
+                # the minimized artifact records the *minimized* run's own
+                # outcome so replay compares against what it reproduces
+                save_artifact(
+                    fuzzer.run_scenario(failure.minimized), path + ".min.json"
+                )
+                print(f"  artifact: {path}.min.json")
 
     elapsed = time.monotonic() - started
     if args.out:

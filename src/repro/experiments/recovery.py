@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import common
 from repro.experiments.parallel_runner import add_jobs_argument, parallel_map
-from repro.faults import FaultInjector, FaultPlan, SimTargets, SwitchFailover
+from repro.faults import FaultPlan, SwitchFailover
 from repro.sim.core import ms
 from repro.sim.rng import RngStreams
 from repro.workloads import exponential, open_loop, rate_for_utilization
@@ -153,18 +153,9 @@ def run_recovery(
     program = handles.switch.program
 
     plan = FaultPlan([SwitchFailover(at_ns=failover_at_ns)])
-    FaultInjector(
-        handles.sim,
-        plan,
-        SimTargets(
-            handles.sim,
-            handles.topology,
-            workers=handles.workers,
-            switch=handles.switch,
-            program_factory=config.standby_program,
-            rng=rngs.stream("recovery-injector"),
-        ),
-    ).arm()
+    common.arm_faults(
+        handles, config, plan, rngs.stream("recovery-injector")
+    )
 
     at_risk = {"count": 0}
 

@@ -26,7 +26,6 @@ granularity, socket buffers, real packet loss).
 from repro.live.base import WallClock, WallTimers
 from repro.live.chaos import (
     ChaosNet,
-    ChaosRunResult,
     ChaosScenario,
     ChaosTransport,
     LiveTargets,
@@ -42,7 +41,6 @@ from repro.live.softswitch import SoftSwitch
 
 __all__ = [
     "ChaosNet",
-    "ChaosRunResult",
     "ChaosScenario",
     "ChaosTransport",
     "ClosedLoopGen",

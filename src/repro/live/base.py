@@ -9,8 +9,6 @@ import socket
 import time
 from typing import Any, Callable, List, Optional, Set, Tuple
 
-from repro.net.packet import Address
-
 Endpoint = Tuple[str, int]
 """A UDP (host, port) pair as asyncio datagram transports use it."""
 
@@ -139,13 +137,3 @@ def bump_socket_buffers(
             sock.setsockopt(socket.SOL_SOCKET, option, size)
         except OSError:
             pass  # the kernel cap (rmem_max) wins; keep whatever it grants
-
-
-def endpoint_of(address: Address) -> Endpoint:
-    """Map a protocol :class:`Address` onto a UDP endpoint.
-
-    In live mode the ``node`` field carries the literal host/IP, so the
-    mapping is the identity — kept as a function so the conversion sites
-    are findable if live mode ever grows a name service.
-    """
-    return (address.node, address.port)

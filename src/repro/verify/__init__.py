@@ -30,9 +30,7 @@ from repro.verify.artifact import (
     ARTIFACT_VERSION,
     LIVE_ARTIFACT_VERSION,
     load_artifact,
-    load_live_artifact,
     save_artifact,
-    save_live_artifact,
 )
 from repro.verify.evidence import LiveEvidence, SimEvidence
 from repro.verify.fuzzer import (
@@ -56,11 +54,9 @@ __all__ = [
     "SimEvidence",
     "Violation",
     "load_artifact",
-    "load_live_artifact",
     "run_scenario",
     "sample_scenario",
     "save_artifact",
-    "save_live_artifact",
     "shrink_failure",
     "shrink_plan",
 ]

@@ -24,80 +24,51 @@ from repro.verify.fuzzer import FuzzResult, FuzzScenario
 
 ARTIFACT_VERSION = 1
 LIVE_ARTIFACT_VERSION = 1
-LIVE_KIND = "live-chaos"
-
-
-def _scenario_dict(scenario: Any) -> Dict[str, Any]:
-    payload = scenario.to_dict()
-    # store the plan as a nested object, not an escaped string
-    payload["plan"] = json.loads(payload.pop("plan_json"))
-    return payload
 
 
 def artifact_dict(result: FuzzResult) -> Dict[str, Any]:
-    """Build the artifact payload for one finished simulator run."""
-    return {
-        "version": ARTIFACT_VERSION,
-        "scenario": _scenario_dict(result.scenario),
-        "expected": {
-            "ok": result.ok,
-            "violations": [asdict(v) for v in result.violations],
-            "event_count": result.event_count,
-            "fingerprint": result.fingerprint,
-            "tasks_submitted": result.tasks_submitted,
-            "tasks_completed": result.tasks_completed,
-        },
-    }
+    """Build the artifact payload for one finished run.
 
-
-def live_artifact_dict(run: Any) -> Dict[str, Any]:
-    """Artifact payload for one live chaos run.
-
-    Duck-typed on :class:`repro.live.chaos.ChaosRunResult` — this module
-    must not import ``repro.live`` (``repro.live.chaos`` imports the
-    oracle from here-adjacent modules). Live runs are wall-clock:
-    the ``expected`` block pins only what a replay *must* reproduce
-    (verdict, conservation totals), while ``observed`` records the
-    timing-dependent evidence for diagnosis.
+    A simulator run is bit-reproducible: ``expected`` pins its event
+    count and trace fingerprint. A live run is wall-clock: ``expected``
+    pins only what a replay *must* reproduce (verdict, conservation
+    totals) and ``observed`` records the timing-dependent evidence for
+    diagnosis, under the scenario's ``kind``.
     """
-    return {
-        "version": LIVE_ARTIFACT_VERSION,
-        "kind": LIVE_KIND,
-        "scenario": _scenario_dict(run.scenario),
-        "expected": {
-            "ok": run.ok,
-            "violations": [asdict(v) for v in run.violations],
-            "tasks_submitted": run.result.tasks_submitted,
-            "tasks_completed": run.result.tasks_completed,
-            "tasks_lost": run.result.tasks_lost,
-        },
-        "observed": {
-            "injected": dict(run.injected),
-            "reregistrations": run.reregistrations,
-            "epoch_history": {
-                str(k): list(v) for k, v in run.epoch_history.items()
-            },
-            "duplicates": run.result.duplicates,
-            "resubmits": run.result.resubmits,
-            "wall_s": run.wall_s,
-        },
+    scenario = result.scenario.to_dict()
+    # store the plan as a nested object, not an escaped string
+    scenario["plan"] = json.loads(scenario.pop("plan_json"))
+    expected = {
+        "ok": result.ok,
+        "violations": [asdict(v) for v in result.violations],
+        "tasks_submitted": result.tasks_submitted,
+        "tasks_completed": result.tasks_completed,
     }
-
-
-def _save(payload: Dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    payload = {
+        "version": ARTIFACT_VERSION,
+        "scenario": scenario,
+        "expected": expected,
+    }
+    kind = result.scenario.ARTIFACT_KIND
+    if kind is None:
+        expected["event_count"] = result.event_count
+        expected["fingerprint"] = result.fingerprint
+    else:
+        observed = dict(result.observed)
+        expected["tasks_lost"] = observed.pop("tasks_lost")
+        payload.update(
+            version=LIVE_ARTIFACT_VERSION,
+            kind=kind,
+            observed={"injected": dict(result.injected), **observed},
+        )
+    return payload
 
 
 def save_artifact(result: FuzzResult, path: str) -> None:
     """Write ``result`` as a replayable artifact at ``path``."""
-    _save(artifact_dict(result), path)
-
-
-def save_live_artifact(run: Any, path: str) -> None:
-    """Write one live chaos run as a versioned JSON artifact."""
-    _save(live_artifact_dict(run), path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(artifact_dict(result), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load(path: str, version: int, kind: Optional[str]) -> Dict[str, Any]:
@@ -140,18 +111,15 @@ def _load(path: str, version: int, kind: Optional[str]) -> Dict[str, Any]:
     return payload
 
 
-def load_live_artifact(path: str) -> Dict[str, Any]:
-    """Load a live chaos artifact; the scenario stays a plain dict.
+def load_artifact(path: str, scenario_cls: Any = FuzzScenario) -> Dict[str, Any]:
+    """Load an artifact of ``scenario_cls``'s kind, scenario hydrated.
 
-    Hydrate it with ``repro.live.chaos.ChaosScenario.from_dict`` at the
-    call site; this module stays import-free of ``repro.live``.
+    The simulator's :class:`~repro.verify.fuzzer.FuzzScenario` by
+    default; pass ``repro.live.chaos.ChaosScenario`` for a live one
+    (this module stays import-free of ``repro.live``).
     """
-    return _load(path, LIVE_ARTIFACT_VERSION, LIVE_KIND)
-
-
-def load_artifact(path: str) -> Dict[str, Any]:
-    """Load a simulator artifact, ``scenario`` hydrated to a
-    :class:`~repro.verify.fuzzer.FuzzScenario`."""
-    payload = _load(path, ARTIFACT_VERSION, None)
-    payload["scenario"] = FuzzScenario.from_dict(payload["scenario"])
+    kind = scenario_cls.ARTIFACT_KIND
+    version = ARTIFACT_VERSION if kind is None else LIVE_ARTIFACT_VERSION
+    payload = _load(path, version, kind)
+    payload["scenario"] = scenario_cls.from_dict(payload["scenario"])
     return payload

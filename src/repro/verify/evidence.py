@@ -30,20 +30,20 @@ class TaskLedger:
     gave_up: Set[TaskKey]
     #: submitted, neither completed nor given up
     unresolved: Set[TaskKey]
-    #: unresolved keys excused because a resubmit timer is still armed
-    retrying: Set[TaskKey]
-    #: keys with lifecycle records but no submission
-    phantoms: List[TaskKey]
     #: per client: completions for tasks it never submitted
     strays: Dict[str, int]
+    #: unresolved keys excused because a resubmit timer is still armed
+    retrying: Set[TaskKey] = frozenset()
+    #: keys with lifecycle records but no submission
+    phantoms: Tuple[TaskKey, ...] = ()
     #: duplicate completions the metrics recorded / the clients noticed
-    duplicates_recorded: int
-    duplicates_suppressed: int
+    duplicates_recorded: int = 0
+    duplicates_suppressed: int = 0
 
 
 class RunEvidence:
-    """The protocol. Both runtimes' switches share the program / election
-    register / install-hook surface, so those probes live here; every
+    """The protocol. What both runtimes' switches expose alike (program,
+    election register, install hook, registers) is read here once; every
     other default is "this runtime has no such evidence"."""
 
     #: the switch object (``ProgrammableSwitch`` or ``SoftSwitch``)
@@ -52,10 +52,18 @@ class RunEvidence:
     #: the oracle's sampler ticks on it every ``sample_interval_ns``
     driver: Any
     sample_interval_ns: int
+    #: the CheckpointManager restoring failovers, if one is deployed
+    checkpoints: Any = None
 
     def program(self) -> Any:
-        """The *currently installed* scheduler program (or ``None``)."""
-        return self.switch.program
+        """The *currently installed* Draconis program, else ``None``.
+
+        Read off the switch every time: after a ``SwitchFailover`` any
+        earlier handle points at the displaced program, whose orphaned
+        queues legitimately retain entries.
+        """
+        program = getattr(self.switch, "program", None)
+        return program if hasattr(program, "total_queued") else None
 
     def on_failover(self, hook: Callable[[Any, Any], None]) -> None:
         """Have ``hook(new_program, old_program)`` run on every failover."""
@@ -66,12 +74,16 @@ class RunEvidence:
         """The switch's ElectionRegister."""
         return getattr(self.switch, "election", None)
 
+    def epoch_history(self) -> Optional[Dict[int, List[int]]]:
+        """Every epoch acked, per executor id, in ack order."""
+        return getattr(self.switch, "epoch_history", None)
+
+    def recirc_limit(self) -> Optional[int]:
+        """The switch's recirculation queue limit."""
+        return getattr(self.switch, "recirc_queue_packets", None)
+
     def ledger(self) -> TaskLedger:
         raise NotImplementedError
-
-    def checkpoints(self) -> Any:
-        """The CheckpointManager restoring failovers, if one is deployed."""
-        return None
 
     def controller(self) -> Any:
         """The controller whose lease table is authoritative right now."""
@@ -85,17 +97,9 @@ class RunEvidence:
         """Registry rows with ``executor_id/in_flight/max_outstanding``."""
         return None
 
-    def epoch_history(self) -> Optional[Dict[int, List[int]]]:
-        """Every epoch acked, per executor id, in ack order."""
-        return None
-
     def executor_speeds(self) -> List[Tuple[Any, float]]:
         """``(label, slowdown factor)`` of every executor still alive."""
         return []
-
-    def recirc_limit(self) -> Optional[int]:
-        """The switch's recirculation queue limit."""
-        return None
 
     def residual_faults(self) -> Optional[List[str]]:
         """One line per fault effect still active after every window."""
@@ -117,15 +121,7 @@ class SimEvidence(RunEvidence):
     def __post_init__(self) -> None:
         self.switch = self.handles.switch
         self.driver = self.handles.sim
-
-    def program(self) -> Any:
-        # After a SwitchFailover the cluster handle still points at the
-        # pre-failover program, whose orphaned queues legitimately retain
-        # entries; every check must read the live one.
-        program = getattr(self.switch, "program", None)
-        if hasattr(program, "total_queued"):
-            return program
-        return self.handles.draconis
+        self.checkpoints = self.handles.checkpoints
 
     def ledger(self) -> TaskLedger:
         collector = self.handles.collector
@@ -146,7 +142,7 @@ class SimEvidence(RunEvidence):
                 if r.submitted_at >= 0 > r.completed_at and key not in gave_up
             },
             retrying=retrying,
-            phantoms=[key for key, r in records if r.submitted_at < 0],
+            phantoms=tuple(key for key, r in records if r.submitted_at < 0),
             strays={
                 f"client{c.uid}": c.stats.stray_completions for c in clients
             },
@@ -155,9 +151,6 @@ class SimEvidence(RunEvidence):
                 c.stats.duplicate_completions for c in clients
             ),
         )
-
-    def checkpoints(self) -> Any:
-        return self.handles.checkpoints
 
     def controller(self) -> Any:
         if self.handles.controller is None and self.handles.ctrl_group:
@@ -185,9 +178,6 @@ class SimEvidence(RunEvidence):
             if not getattr(worker, "crashed", False)
             for executor in getattr(worker, "executors", None) or ()
         ]
-
-    def recirc_limit(self) -> Optional[int]:
-        return getattr(self.switch, "recirc_queue_packets", None)
 
     def residual_faults(self) -> Optional[List[str]]:
         if self.injector is None:
@@ -218,26 +208,18 @@ class LiveEvidence(RunEvidence):
     chaos: Any = None
     fault_timers: Any = None
     controllers: Optional[Dict[int, Any]] = None
-    checkpoint_manager: Any = None
+    checkpoints: Any = None
     sample_interval_ns = ms(50)
 
     def ledger(self) -> TaskLedger:
         client = self.client
-        duplicates = client.counters.get("duplicates", 0)
         return TaskLedger(
             submitted=client.tasks_submitted,
             completed=client.completed_count,
             gave_up=client.gave_up_keys(),
             unresolved=client.pending_keys(),
-            retrying=set(),
-            phantoms=[],
             strays={f"client{client.uid}": client.counters.get("phantoms", 0)},
-            duplicates_recorded=duplicates,
-            duplicates_suppressed=duplicates,
         )
-
-    def checkpoints(self) -> Any:
-        return self.checkpoint_manager
 
     def replicas(self) -> Optional[List[Tuple[int, bool]]]:
         if not self.controllers:
@@ -249,20 +231,17 @@ class LiveEvidence(RunEvidence):
         ]
 
     def executor_records(self) -> Optional[Iterable[Any]]:
-        # The switch bounds its credit counter at pull ingress only. Once
-        # a completion is lost (the counter over-counts until the resync,
-        # by design) pulls parked under the stale count are still served,
-        # and an executor killed mid-flight never drains its record — so
-        # the bound is an invariant of *undisturbed* executors only.
-        disturbed = self.chaos.disturbed if self.chaos is not None else ()
+        # Every executor is held to the bound except where the chaos
+        # layer says the switch's count cannot be trusted right now
+        # (around duplicating wire windows; ChaosNet.credit_unreliable).
+        records = list(self.switch.executors.values())
+        if self.chaos is None:
+            return records
         return [
             record
-            for record in self.switch.executors.values()
-            if f"exec{record.executor_id}" not in disturbed
+            for record in records
+            if not self.chaos.credit_unreliable(f"exec{record.executor_id}")
         ]
-
-    def epoch_history(self) -> Optional[Dict[int, List[int]]]:
-        return self.switch.epoch_history
 
     def executor_speeds(self) -> List[Tuple[Any, float]]:
         # a killed incarnation has no speed left to restore

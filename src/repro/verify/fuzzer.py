@@ -13,6 +13,9 @@ scenarios, fans them out across cores (each cell seeds its own
 simulator, so results are independent of ``--jobs``), shrinks every
 failure to a minimal plan (:func:`shrink_failure`), and writes each one
 as a replayable artifact (:mod:`repro.verify.artifact`).
+:class:`FuzzResult` and :class:`ScenarioCodec` are shared with the live
+runtime's runner (:mod:`repro.live.chaos`), so both print, summarize and
+save runs through the same code.
 """
 
 from __future__ import annotations
@@ -23,12 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments import common
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    SimTargets,
-    sample_ctrl_faults,
-)
+from repro.faults import FaultPlan, sample_ctrl_faults
 from repro.sim.core import ms
 from repro.sim.rng import RngStreams
 from repro.verify.evidence import SimEvidence
@@ -45,6 +43,9 @@ DEFAULT_TIMEOUT_FACTOR = 4.0
 class ScenarioCodec:
     """``to_dict`` / ``from_dict`` for a scenario dataclass (the artifact
     format); unknown fields fail loudly instead of being dropped."""
+
+    #: the ``kind`` its artifacts carry (``None``: a simulator artifact)
+    ARTIFACT_KIND: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -86,43 +87,61 @@ class FuzzScenario(ScenarioCodec):
 
     plan_json: Optional[str] = None
 
+    def features(self) -> str:
+        """Result-row flags: Controller, Replicated, checKpoints, Parking."""
+        return "".join(
+            flag
+            for flag, on in (
+                ("C", self.controller),
+                ("R", self.controller_replicas >= 2),
+                ("K", self.checkpoints),
+                ("P", self.park_pulls),
+            )
+            if on
+        )
+
 
 @dataclass
 class FuzzResult:
-    """Outcome of one scenario run (plan pinned to explicit JSON)."""
+    """Outcome of one chaos run on either runtime (plan pinned to JSON)."""
 
-    scenario: FuzzScenario
+    scenario: Any
     ok: bool
     violations: List[Violation]
     checks: int
-    event_count: int
-    fingerprint: str
     tasks_submitted: int
     tasks_completed: int
     faults_fired: int
     injected: Dict[str, int] = field(default_factory=dict)
+    #: simulator runs: bit-reproducible, what a replay compares
+    event_count: Optional[int] = None
+    fingerprint: Optional[str] = None
+    #: live runs: wall-clock evidence, recorded for diagnosis only
+    #: (tasks lost, duplicates, resubmits, re-registrations, ...)
+    observed: Dict[str, Any] = field(default_factory=dict)
 
     def invariants_violated(self) -> List[str]:
         return sorted({v.invariant for v in self.violations})
 
     def row(self) -> str:
         verdict = "OK" if self.ok else ",".join(self.invariants_violated())
-        features = "".join(
-            flag
-            for flag, on in (
-                ("C", self.scenario.controller),
-                ("R", self.scenario.controller_replicas >= 2),
-                ("K", self.scenario.checkpoints),
-                ("P", self.scenario.park_pulls),
-            )
-            if on
-        )
+        columns = []
+        if self.fingerprint is not None:
+            columns = [
+                f"events={self.event_count:<7}",
+                f"fp={self.fingerprint[:12]}",
+            ]
+        columns += [
+            f"{name}={value}"
+            for name, value in self.observed.items()
+            if not isinstance(value, (dict, list))
+        ]
         return (
-            f"seed={self.scenario.seed:<6} feat={features or '-':<4} "
+            f"seed={self.scenario.seed:<6} "
+            f"feat={self.scenario.features() or '-':<4} "
             f"faults={self.faults_fired:<2} "
             f"tasks={self.tasks_completed}/{self.tasks_submitted:<5} "
-            f"events={self.event_count:<7} "
-            f"fp={self.fingerprint[:12]}  {verdict}"
+            f"{' '.join(columns)}  {verdict}"
         )
 
     def summary(self) -> Dict[str, Any]:
@@ -250,19 +269,9 @@ def run_scenario(scenario: FuzzScenario) -> FuzzResult:
 
     plan = plan_for(scenario)
 
-    injector = FaultInjector(
-        handles.sim,
-        plan,
-        SimTargets(
-            handles.sim,
-            handles.topology,
-            workers=handles.workers,
-            switch=handles.switch,
-            controllers=handles.ctrl_group or handles.controller,
-            program_factory=config.standby_program,
-            rng=rngs.stream("fuzz-injector"),
-        ),
-    ).arm()
+    injector = common.arm_faults(
+        handles, config, plan, rngs.stream("fuzz-injector")
+    )
 
     horizon = scenario.duration_ns + scenario.drain_ns
     oracle = InvariantOracle(SimEvidence(handles, injector)).attach(horizon)

@@ -39,8 +39,10 @@ cannot supply (its adapter returns ``None``) is skipped:
   (circular-queue pointer windows, occupancy bounds, parked-pull
   capacity) pass both at the end and in cheap periodic mid-run samples.
 * **in-flight bound / epoch monotonicity** (runtimes with an executor
-  registry) — every record satisfies ``0 <= in_flight <=
-  max_outstanding``, sampled mid-run and at the end, and the epochs
+  registry) — every record the evidence supplies satisfies ``0 <=
+  in_flight <= max_outstanding``, sampled mid-run and at the end (the
+  live adapter withholds a record only around duplicating wire windows,
+  see ``ChaosNet.credit_unreliable``), and the epochs
   acked to each executor strictly increase across kill/restart and
   endpoint moves. (``in_flight == 0`` at quiescence is *not* required:
   a credit leaked by a dropped assignment only resyncs once the
@@ -211,7 +213,7 @@ class InvariantOracle:
             f"entr(ies) the old program never held, e.g. "
             f"{sorted(invented)[:3]}",
         )
-        manager = self.evidence.checkpoints()
+        manager = self.evidence.checkpoints
         if manager is None or manager.last_report is None:
             # No checkpointing: the paper's cold standby. Losing the queue
             # is the *expected* behaviour; inventing entries is not.

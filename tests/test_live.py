@@ -31,6 +31,7 @@ from repro.obs.hdr import LogHistogram
 from repro.core.policies import PriorityPolicy
 from repro.protocol import codec
 from repro.protocol.messages import (
+    Completion,
     ErrorPacket,
     ExecutorRegister,
     JobSubmission,
@@ -161,6 +162,55 @@ class TestDispatchBound:
         self.pull(switch)
         assert len(transport.messages(TaskAssignment)) == 1
         assert switch.executors[1].in_flight == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known SoftSwitch bug (ROADMAP item 2): the bound is checked "
+        "at pull ingress only, so a wire-duplicated completion forges a "
+        "second parked pull and the executor is over-dispatched; live "
+        "chaos seed 49 found it, ChaosNet.credit_unreliable scopes the "
+        "oracle around it",
+    )
+    def test_duplicated_completion_cannot_forge_a_pull(self):
+        switch, _ = make_switch()
+        register(switch, max_outstanding=2)
+        record = switch.executors[1]
+        client = ("127.0.0.1", 60000)
+
+        def submit(jid, tasks):
+            switch._on_datagram(
+                codec.encode(
+                    JobSubmission(
+                        uid=1,
+                        jid=jid,
+                        tasks=[TaskInfo(tid=t) for t in range(tasks)],
+                    )
+                ),
+                client,
+            )
+
+        def complete(tid):
+            return codec.encode(
+                Completion(
+                    uid=1,
+                    jid=1,
+                    tid=tid,
+                    executor_id=1,
+                    piggyback_request=TaskRequest(executor_id=1),
+                )
+            )
+
+        self.pull(switch)
+        self.pull(switch)
+        submit(jid=1, tasks=2)
+        assert record.in_flight == 2
+        # both tasks finish, each completion piggybacking the next pull;
+        # the wire duplicates the first one
+        for datagram in (complete(0), complete(0), complete(1)):
+            switch._on_datagram(datagram, EXEC_ADDR)
+        assert record.in_flight == 0
+        submit(jid=2, tasks=3)
+        assert record.in_flight <= record.max_outstanding
 
 
 class FakeClock:

@@ -26,6 +26,7 @@ from repro.faults.events import (
 )
 from repro.faults.plan import LIVE_GRAMMAR, FaultPlan
 from repro.live.chaos import (
+    CREDIT_LINGER_NS,
     ChaosNet,
     ChaosScenario,
     run_live_chaos,
@@ -35,8 +36,8 @@ from repro.protocol import codec
 from repro.protocol.messages import Heartbeat
 from repro.verify.artifact import (
     LIVE_ARTIFACT_VERSION,
-    load_live_artifact,
-    save_live_artifact,
+    load_artifact,
+    save_artifact,
 )
 from repro.verify.evidence import LiveEvidence
 from repro.verify.oracle import InvariantOracle
@@ -313,28 +314,39 @@ class TestLiveOracle:
         )
         assert "in-flight-bound" in {v.invariant for v in report.violations}
 
-    def test_in_flight_bound_skips_disturbed_executors(self):
-        # A lost completion leaves the switch's credit counter
-        # over-counting until the resync (by design), and pulls parked
-        # under the stale count are still served: the bound only binds
-        # executors whose link never lost, duplicated or delayed a packet.
-        net = make_net([LinkFault(loss_prob=1.0, nodes=("exec1",), **WINDOW)])
-        transport, _inner = wrap(net, "exec1")
-        transport.sendto(PAYLOAD)
-        assert net.disturbed == {"exec1"}
+    def test_in_flight_bound_waived_only_around_duplicating_windows(self):
+        # The SoftSwitch cannot tell a wire-duplicated pull from a real
+        # one (strict xfail in test_live.py), so its count is not judged
+        # on a link while a duplicating window is open there, nor until
+        # the switch's own credit resync must have run. Loss alone waives
+        # nothing, and the waiver ends.
+        net = make_net(
+            [
+                LinkFault(duplicate_prob=0.5, nodes=("exec1",), **WINDOW),
+                LinkFault(loss_prob=1.0, nodes=("exec2",), **WINDOW),
+            ]
+        )
         switch = StubSwitch(
             [StubRecord(1, in_flight=3), StubRecord(2, in_flight=3)]
         )
-        report = InvariantOracle(
-            LiveEvidence(
-                switch=switch, client=StubClient(), executors={}, chaos=net
+
+        def flagged():
+            report = InvariantOracle(
+                LiveEvidence(
+                    switch=switch, client=StubClient(), executors={}, chaos=net
+                )
+            ).check_final()
+            return sorted(
+                v.detail.split()[1]
+                for v in report.violations
+                if v.invariant == "in-flight-bound"
             )
-        ).check_final()
-        flagged = [
-            v.detail for v in report.violations
-            if v.invariant == "in-flight-bound"
-        ]
-        assert len(flagged) == 1 and "exec2" in flagged[0]
+
+        assert flagged() == ["exec2"]  # window open on exec1's link
+        net.clock.now = WINDOW["end_ns"] + CREDIT_LINGER_NS - 1
+        assert flagged() == ["exec2"]
+        net.clock.now += 1
+        assert flagged() == ["exec1", "exec2"]
 
     def test_suppressed_samples_reported_under_their_own_family(self):
         # One broken check repeats every sample; past the cap the rest
@@ -402,17 +414,17 @@ class TestEndToEndChaos:
         assert crash_run.ok, [str(v) for v in crash_run.violations]
         assert crash_run.injected.get("worker_crashes", 0) == 1
         assert crash_run.injected.get("worker_restarts", 0) == 1
-        assert crash_run.reregistrations >= 1
-        assert len(crash_run.epoch_history[0]) >= 2
-        assert crash_run.result.tasks_lost == 0
-        assert crash_run.result.tasks_submitted > 0
+        assert crash_run.observed["reregistrations"] >= 1
+        assert len(crash_run.observed["epoch_history"][0]) >= 2
+        assert crash_run.observed["tasks_lost"] == 0
+        assert crash_run.tasks_submitted > 0
 
     def test_switch_failover_zero_loss(self):
         plan = FaultPlan([SwitchFailover(at_ns=100_000_000)])
         run = run_live_chaos(pinned_scenario(plan, seed=13), timeout_s=60.0)
         assert run.ok, [str(v) for v in run.violations]
         assert run.injected.get("failovers", 0) >= 1
-        assert run.result.tasks_lost == 0
+        assert run.observed["tasks_lost"] == 0
 
     def test_lossy_link_recovers_by_resubmission(self):
         plan = FaultPlan(
@@ -428,7 +440,7 @@ class TestEndToEndChaos:
         run = run_live_chaos(pinned_scenario(plan, seed=17), timeout_s=60.0)
         assert run.ok, [str(v) for v in run.violations]
         assert run.injected.get("loss_drops", 0) > 0
-        assert run.result.tasks_lost == 0
+        assert run.observed["tasks_lost"] == 0
 
     def test_timeout_raises_with_diagnostics(self):
         scenario = sample_scenario(5)
@@ -439,24 +451,23 @@ class TestEndToEndChaos:
 class TestLiveArtifact:
     def test_roundtrip(self, crash_run, tmp_path):
         path = tmp_path / "crash.json"
-        save_live_artifact(crash_run, str(path))
-        payload = load_live_artifact(str(path))
+        save_artifact(crash_run, str(path))
+        payload = load_artifact(str(path), ChaosScenario)
         assert payload["version"] == LIVE_ARTIFACT_VERSION
         assert payload["kind"] == "live-chaos"
         assert payload["expected"]["ok"] == crash_run.ok
         assert (
             payload["expected"]["tasks_submitted"]
-            == crash_run.result.tasks_submitted
+            == crash_run.tasks_submitted
         )
         assert payload["observed"]["reregistrations"] == (
-            crash_run.reregistrations
+            crash_run.observed["reregistrations"]
         )
-        rebuilt = ChaosScenario.from_dict(payload["scenario"])
-        assert rebuilt == crash_run.scenario
+        assert payload["scenario"] == crash_run.scenario
 
     def mutated(self, crash_run, tmp_path, **changes):
         path = tmp_path / "bad.json"
-        save_live_artifact(crash_run, str(path))
+        save_artifact(crash_run, str(path))
         payload = json.loads(path.read_text())
         payload.update(changes)
         path.write_text(json.dumps(payload))
@@ -465,9 +476,9 @@ class TestLiveArtifact:
     def test_wrong_version_rejected(self, crash_run, tmp_path):
         path = self.mutated(crash_run, tmp_path, version=99)
         with pytest.raises(ConfigurationError, match="version"):
-            load_live_artifact(path)
+            load_artifact(path, ChaosScenario)
 
     def test_wrong_kind_rejected(self, crash_run, tmp_path):
         path = self.mutated(crash_run, tmp_path, kind="sim-fuzz")
         with pytest.raises(ConfigurationError, match="live-chaos"):
-            load_live_artifact(path)
+            load_artifact(path, ChaosScenario)

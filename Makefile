@@ -5,7 +5,7 @@ PY ?= python
 # needed. (Targets previously assumed `make install` had been run.)
 export PYTHONPATH := src
 
-.PHONY: install test lint loc coverage bench obs-bench determinism obs-report experiments smoke chaos fuzz recovery ha live live-smoke live-chaos examples clean
+.PHONY: install test lint loc coverage bench perf obs-bench determinism obs-report experiments smoke chaos fuzz recovery ha live live-smoke live-chaos examples clean
 
 install:
 	$(PY) setup.py develop
@@ -32,6 +32,11 @@ coverage:
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
+
+# The repo benchmark's traced pass for one BENCHMARK.json workload: the
+# per-layer cost table, e.g. `make perf W=live_closed_noop`.
+perf:
+	python3 benchmarks/perf/run.py --workload $(W) --trace 1
 
 obs-bench:
 	$(PY) -m repro.obs.bench --scale smoke --check

@@ -3,7 +3,7 @@
 Every other subsystem executes inside the discrete-event simulator; this
 package runs the same wire format (:mod:`repro.protocol`) and the same
 scheduling structures (:mod:`repro.core`) on wall-clock time across real
-asyncio datagram sockets:
+non-blocking UDP sockets on one asyncio loop:
 
 * :class:`~repro.live.softswitch.SoftSwitch` — a software dataplane
   hosting an unmodified :class:`~repro.core.scheduler.DraconisProgram`

@@ -4,8 +4,9 @@ The chaos stack (plan grammar, injector, wire-fault model, oracle) is
 shared with the simulator; this module is the live runtime's side of its
 three contracts (DESIGN.md §5b):
 
-* **wire faults** — :class:`ChaosTransport` wraps the asyncio datagram
-  transports of :class:`~repro.live.softswitch.SoftSwitch`,
+* **wire faults** — :class:`ChaosTransport` wraps the
+  :class:`~repro.live.base.UdpPort` of
+  :class:`~repro.live.softswitch.SoftSwitch`,
   :class:`~repro.live.executor.LiveExecutor`,
   :class:`~repro.live.client.LiveClient` and the controller replicas. It
   matches each datagram against the plan's open windows on the link it
@@ -66,7 +67,6 @@ from repro.live.runtime import (
     LiveSpec,
     exec_name,
 )
-from repro.live.softswitch import CREDIT_RESYNC_NS, DEFAULT_PULL_TTL_NS
 from repro.sim.rng import RngStreams
 from repro.verify.evidence import LiveEvidence
 from repro.verify.fuzzer import FuzzResult, ScenarioCodec
@@ -74,12 +74,6 @@ from repro.verify.oracle import InvariantOracle
 
 #: wire-fault windows the transport layer matches at send time
 _WIRE_FAULTS = (LinkFault, PacketCorruption, Partition)
-
-#: a forged pull stays parked for up to one pull TTL after its window
-#: closed; a count it left stale resyncs once the executor polls more
-#: than CREDIT_RESYNC_NS after its last assignment, and an idle executor
-#: re-polls at least that often (its watchdog period)
-CREDIT_LINGER_NS = DEFAULT_PULL_TTL_NS + 2 * CREDIT_RESYNC_NS
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +161,6 @@ class ChaosNet:
             )
         ]
 
-    def credit_unreliable(self, link: str) -> bool:
-        """May the switch's in-flight count for ``link`` be wrong right now?
-
-        A wire-duplicated pull (bare, or piggybacked on a duplicated
-        completion) is a credit the SoftSwitch cannot tell from a real
-        one: it parks, gets served, and the executor holds more than
-        ``max_outstanding`` assignments (a switch bug, pinned as a strict
-        xfail in tests/test_live.py). A completion lost on top leaves
-        that count stale until the switch's own credit resync. So the
-        count is unreliable while a duplicating window is open on the
-        link and for :data:`CREDIT_LINGER_NS` after it closes.
-        """
-        now = self.elapsed_ns()
-        return any(
-            degradation.duplicate_prob > 0
-            and event.start_ns <= now < event.end_ns + CREDIT_LINGER_NS
-            and (event.nodes is None or link in event.nodes)
-            for event, degradation in self._windows
-        )
-
     def count_drop(self, corrupt: bool, culprit: Degradation, data: bytes) -> None:
         """Account one dropped datagram; a corrupted one fuzzes the parser.
 
@@ -232,7 +206,7 @@ class ChaosNet:
 
 
 class ChaosTransport:
-    """A fault-injecting façade over one ``asyncio.DatagramTransport``.
+    """A fault-injecting façade over one :class:`~repro.live.base.UdpPort`.
 
     Injection is send-side only — sufficient because every packet is
     someone's send. What happens to a datagram is decided by the shared
@@ -286,13 +260,10 @@ class ChaosTransport:
         self.delayed.close()
         self.inner.close()
 
+    abort = close  # a UdpPort has nothing to flush: same thing
+
     def is_closing(self) -> bool:
         return self._closing or self.inner.is_closing()
-
-    def abort(self) -> None:
-        self._closing = True
-        self.delayed.close()
-        self.inner.abort()
 
     def get_extra_info(self, name: str, default=None):
         return self.inner.get_extra_info(name, default)
@@ -600,9 +571,7 @@ async def run_live_chaos_async(
                     break
                 await asyncio.sleep(0.01)
         # Settle: late completions, reorder-delayed stragglers, the last
-        # queued tasks behind a slow executor, and credit counts a
-        # duplicating window left unreliable (so the final sweep holds
-        # every executor to the in-flight bound).
+        # queued tasks behind a slow executor.
         deadline = clock.now + int(2.0 * 1e9)
         while clock.now < deadline:
             if (
@@ -610,10 +579,6 @@ async def run_live_chaos_async(
                 and switch.total_queued() == 0
                 and chaos.pending_delayed() == 0
                 and fault_timers.idle()
-                and not any(
-                    chaos.credit_unreliable(exec_name(i))
-                    for i in cluster.executors
-                )
             ):
                 break
             await asyncio.sleep(0.02)

@@ -15,7 +15,6 @@ seed retry on the same schedule (modulo event-loop timing).
 from __future__ import annotations
 
 import asyncio
-import contextlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from repro.cluster.task import FN_SPIN, TaskSpec, encode_duration
 from repro.errors import ProtocolError
-from repro.live.base import Counters, Endpoint, WallClock, bump_socket_buffers
+from repro.live.base import Endpoint, SwitchPeer, WallClock
 from repro.obs.hdr import LogHistogram
 from repro.protocol import codec
 from repro.protocol.messages import (
@@ -65,7 +64,7 @@ class _Pending:
         self.retries = 0
 
 
-class LiveClient(asyncio.DatagramProtocol):
+class LiveClient(SwitchPeer):
     """One submitting client on a connected UDP socket."""
 
     def __init__(
@@ -79,11 +78,9 @@ class LiveClient(asyncio.DatagramProtocol):
     ) -> None:
         self.uid = uid
         self.config = config or LiveClientConfig()
-        self.clock = clock or WallClock()
         self.on_job_done = on_job_done
         self.rng = rng
-        self.transport_wrap = transport_wrap
-        self.counters = Counters()
+        super().__init__(clock or WallClock(), transport_wrap)
         #: end-to-end latency (submit -> completion notice), nanoseconds
         self.e2e_hist = LogHistogram()
         self._pending: Dict[TaskKey, _Pending] = {}
@@ -91,66 +88,13 @@ class LiveClient(asyncio.DatagramProtocol):
         self._gave_up: Set[TaskKey] = set()
         self._job_left: Dict[int, int] = {}
         self._next_jid = 0
-        self._transport: Optional[asyncio.DatagramTransport] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._watchdog: Optional[asyncio.Task] = None
-        self._timers: Set[asyncio.TimerHandle] = set()
-        self._closing = False
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self, switch: Endpoint) -> None:
-        self._loop = asyncio.get_running_loop()
-        await self._loop.create_datagram_endpoint(
-            lambda: self, remote_addr=switch
-        )
+        self._connect(switch)
         if self.config.resubmit_timeout_s is not None:
-            self._watchdog = self._loop.create_task(self._watch())
-
-    def close(self) -> None:
-        self._closing = True
-        for handle in self._timers:
-            handle.cancel()
-        self._timers.clear()
-        if self._watchdog is not None:
-            self._watchdog.cancel()
-            self._watchdog = None
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
-
-    async def aclose(self) -> None:
-        """Close and *await* the watchdog so no task outlives the client.
-
-        Teardown under chaos must not leave cancelled-but-unawaited tasks
-        behind — they surface as "Task was destroyed but it is pending"
-        warnings when the loop shuts down.
-        """
-        watchdog = self._watchdog
-        self.close()
-        if watchdog is not None:
-            with contextlib.suppress(asyncio.CancelledError):
-                await watchdog
-
-    def connection_made(self, transport) -> None:
-        bump_socket_buffers(transport)
-        if self.transport_wrap is not None:
-            transport = self.transport_wrap(transport)
-        self._transport = transport
-
-    def _call_later(self, delay_s: float, fn, *args) -> None:
-        """``loop.call_later`` with the handle tracked for teardown."""
-        if self._loop is None or self._closing:
-            return
-        handle: Optional[asyncio.TimerHandle] = None
-
-        def fire() -> None:
-            if handle is not None:
-                self._timers.discard(handle)
-            fn(*args)
-
-        handle = self._loop.call_later(delay_s, fire)
-        self._timers.add(handle)
+            self._timers.spawn(self._watch())
 
     # -- submission --------------------------------------------------------
 
@@ -166,14 +110,12 @@ class LiveClient(asyncio.DatagramProtocol):
                 if spec.fn_id == FN_SPIN and spec.duration_ns > 0
                 else b""
             )
-            info = TaskInfo(
-                tid=tid, fn_id=spec.fn_id, fn_par=fn_par, tprops=spec.tprops
-            )
+            info = TaskInfo(tid, spec.fn_id, fn_par, spec.tprops)
             infos.append(info)
             self._pending[(self.uid, jid, tid)] = _Pending(info, jid, now)
         self._job_left[jid] = len(infos)
-        self.counters.incr("jobs_submitted")
-        self.counters.incr("tasks_submitted", len(infos))
+        self.counters["jobs_submitted"] += 1
+        self.counters["tasks_submitted"] += len(infos)
         self._send_tasks(jid, infos)
         return jid
 
@@ -184,20 +126,18 @@ class LiveClient(asyncio.DatagramProtocol):
         for i in range(0, len(infos), limit):
             self._transport.sendto(
                 codec.encode(
-                    JobSubmission(
-                        uid=self.uid, jid=jid, tasks=list(infos[i : i + limit])
-                    )
+                    JobSubmission(self.uid, jid, list(infos[i : i + limit]))
                 )
             )
-            self.counters.incr("submissions_sent")
+            self.counters["submissions_sent"] += 1
 
     # -- receive -----------------------------------------------------------
 
-    def datagram_received(self, data: bytes, addr) -> None:
+    def datagram_received(self, data, addr) -> None:
         try:
             message = codec.decode(data)
         except ProtocolError:
-            self.counters.incr("malformed")
+            self.counters["malformed"] += 1
             return
         cls = message.__class__
         if cls is Completion:
@@ -205,12 +145,9 @@ class LiveClient(asyncio.DatagramProtocol):
         elif cls is ErrorPacket:
             self._on_bounce(message)
         elif cls is SubmissionAck:
-            self.counters.incr("acks")
+            self.counters["acks"] += 1
         else:
             self.counters.incr("unexpected")
-
-    def error_received(self, exc) -> None:
-        self.counters.incr("socket_errors")
 
     def _on_completion(self, completion: Completion) -> None:
         key = (completion.uid, completion.jid, completion.tid)
@@ -233,7 +170,7 @@ class LiveClient(asyncio.DatagramProtocol):
                 self.counters.incr("phantoms")
             return
         self._done.add(key)
-        self.counters.incr("completed")
+        self.counters["completed"] += 1
         self.e2e_hist.record(self.clock.now - entry.submitted_ns)
         self._job_finished_one(entry.jid)
 
@@ -264,7 +201,7 @@ class LiveClient(asyncio.DatagramProtocol):
                 continue
             max_retry_round = max(max_retry_round, entry.retries)
             retry.append(entry.info)
-        if not retry or self._loop is None or self._closing:
+        if not retry or self.closed:
             return
         exponent = min(max_retry_round - 1, self.config.bounce_backoff_max)
         delay_s = self.config.bounce_retry_s * (1 << exponent)
@@ -273,7 +210,7 @@ class LiveClient(asyncio.DatagramProtocol):
             delay_s *= 1.0 + float(self.rng.uniform(-jitter, jitter))
         delay_s = max(delay_s, error.backoff_hint_ns / 1e9)
         self.counters.incr("bounce_retries", len(retry))
-        self._call_later(delay_s, self._send_tasks, error.jid, retry)
+        self._timers.call_later(delay_s, self._send_tasks, error.jid, retry)
 
     def _give_up(self, key: TaskKey, entry: _Pending, reason: str) -> None:
         del self._pending[key]
@@ -288,7 +225,7 @@ class LiveClient(asyncio.DatagramProtocol):
         timeout_s = self.config.resubmit_timeout_s
         assert timeout_s is not None
         timeout_ns = int(timeout_s * 1e9)
-        while not self._closing:
+        while not self.closed:
             await asyncio.sleep(timeout_s / 4)
             now = self.clock.now
             stale: Dict[int, List[TaskInfo]] = {}

@@ -32,13 +32,11 @@ event-loop tick and below the chaos settle window.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.ctrl.replication import CtrlJournal, CtrlOpKind
 from repro.errors import ProtocolError
-from repro.live.base import Counters, Endpoint, WallClock, bump_socket_buffers
+from repro.live.base import Counters, Endpoint, UdpPort, WallClock, WallTimers
 from repro.protocol import codec
 from repro.protocol.codec import MAX_CTRL_OPS_PER_PACKET
 from repro.protocol.messages import (
@@ -69,21 +67,6 @@ DEFAULT_LIVE_SYNC_INTERVAL_NS = 15_000_000
 def ctrl_name(replica_id: int) -> str:
     """The fault-plan node name of one live controller replica."""
     return f"ctrl{replica_id}"
-
-
-@dataclass
-class _ReplicaProtocol(asyncio.DatagramProtocol):
-    replica: "LiveControllerReplica"
-    transport: Optional[asyncio.DatagramTransport] = field(default=None)
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.replica._on_datagram(data, (addr[0], addr[1]))
-
-    def error_received(self, exc) -> None:
-        self.replica.counters.incr("socket_errors")
 
 
 class LiveControllerReplica:
@@ -144,25 +127,22 @@ class LiveControllerReplica:
         self._need_snapshot = False
         #: send time of the latest ElectionRequest; bounds the local lease
         self._last_request_ns = self.clock.now
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        self._transport: Any = None
         self._endpoint: Optional[Endpoint] = None
-        self._tasks: List[asyncio.Task] = []
+        #: the election and sync loops
+        self._timers = WallTimers(self.clock)
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Endpoint:
-        loop = asyncio.get_running_loop()
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _ReplicaProtocol(self), local_addr=(host, port)
+        port_ = UdpPort(
+            lambda: self._on_datagram, self.counters, local_addr=(host, port)
         )
-        bump_socket_buffers(transport)
-        bound = transport.get_extra_info("sockname")
-        if self.transport_wrap is not None:
-            transport = self.transport_wrap(transport)
-        self._transport = transport
+        bound = port_.get_extra_info("sockname")
+        self._transport = self.transport_wrap(port_) if self.transport_wrap else port_
         self._endpoint = (bound[0], bound[1])
-        self._tasks.append(loop.create_task(self._election_loop()))
-        self._tasks.append(loop.create_task(self._sync_loop()))
+        self._timers.spawn(self._election_loop())
+        self._timers.spawn(self._sync_loop())
         return self._endpoint
 
     @property
@@ -192,19 +172,14 @@ class LiveControllerReplica:
         self.closed = True
         self.role = "follower"
         self._leader_until = -1
-        for task in self._tasks:
-            task.cancel()
+        self._timers.close()
         if self._transport is not None:
             self._transport.close()
             self._transport = None
 
     async def aclose(self) -> None:
-        tasks = list(self._tasks)
         self.kill()
-        for task in tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._tasks.clear()
+        await self._timers.aclose()
 
     # -- election ----------------------------------------------------------
 
@@ -362,7 +337,7 @@ class LiveControllerReplica:
 
     # -- datagram path -----------------------------------------------------
 
-    def _on_datagram(self, data: bytes, addr: Endpoint) -> None:
+    def _on_datagram(self, data, addr: Endpoint) -> None:
         if self.closed:
             return
         try:

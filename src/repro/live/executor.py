@@ -23,14 +23,13 @@ pull credit that a dropped datagram left dangling.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Set
+from typing import Callable, Optional
 
 from repro.cluster.task import FN_NOOP, decode_duration
 from repro.errors import ProtocolError
-from repro.live.base import Counters, Endpoint, bump_socket_buffers
+from repro.live.base import Endpoint, SwitchPeer, WallClock
 from repro.obs.hdr import LogHistogram
 from repro.protocol import codec
 from repro.protocol.messages import (
@@ -62,7 +61,7 @@ class LiveExecutorConfig:
     watchdog_s: float = 0.25
 
 
-class LiveExecutor(asyncio.DatagramProtocol):
+class LiveExecutor(SwitchPeer):
     """One executor process-equivalent on a connected UDP socket."""
 
     def __init__(
@@ -81,21 +80,15 @@ class LiveExecutor(asyncio.DatagramProtocol):
         self.node_id = node_id
         self.rack_id = rack_id
         self.exec_rsrc = exec_rsrc
-        self.transport_wrap = transport_wrap
-        self.counters = Counters()
+        super().__init__(WallClock(), transport_wrap)
         #: wall-clock service time per executed task, nanoseconds
         self.service_hist = LogHistogram()
         self.epoch = 0
         self.registered = asyncio.Event()
-        self._transport: Optional[asyncio.DatagramTransport] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._watchdog: Optional[asyncio.Task] = None
-        self._timers: Set[asyncio.TimerHandle] = set()
         self._idle_pulls = 0
         self._running = 0
         self._scheduled_pulls = 0
         self._noop_streak = 0
-        self._closing = False
         self._request = TaskRequest(
             executor_id=executor_id,
             node_id=node_id,
@@ -107,34 +100,11 @@ class LiveExecutor(asyncio.DatagramProtocol):
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        await self._loop.create_datagram_endpoint(
-            lambda: self, remote_addr=self.switch
-        )
-        self._watchdog = self._loop.create_task(self._watch())
+        self._connect(self.switch)
+        self._timers.spawn(self._watch())
 
     async def wait_registered(self, timeout_s: float = 2.0) -> None:
         await asyncio.wait_for(self.registered.wait(), timeout_s)
-
-    def close(self) -> None:
-        self._closing = True
-        for handle in self._timers:
-            handle.cancel()
-        self._timers.clear()
-        if self._watchdog is not None:
-            self._watchdog.cancel()
-            self._watchdog = None
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
-
-    async def aclose(self) -> None:
-        """Close and await the watchdog (no leaked tasks on teardown)."""
-        watchdog = self._watchdog
-        self.close()
-        if watchdog is not None:
-            with contextlib.suppress(asyncio.CancelledError):
-                await watchdog
 
     def kill(self) -> None:
         """Fail-stop this executor (the live WorkerCrash fault).
@@ -147,36 +117,30 @@ class LiveExecutor(asyncio.DatagramProtocol):
         self.counters.incr("killed")
         self.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closing
-
     # -- protocol ----------------------------------------------------------
 
     def connection_made(self, transport) -> None:
-        bump_socket_buffers(transport)
-        if self.transport_wrap is not None:
-            transport = self.transport_wrap(transport)
-        self._transport = transport
+        super().connection_made(transport)
         self._register()
 
-    def datagram_received(self, data: bytes, addr) -> None:
+    def datagram_received(self, data, addr) -> None:
+        counters = self.counters
         try:
             message = codec.decode(data)
         except ProtocolError:
-            self.counters.incr("malformed")
+            counters["malformed"] += 1
             return
         cls = message.__class__
         if cls is TaskAssignment:
             if self._idle_pulls > 0:
                 self._idle_pulls -= 1
             self._noop_streak = 0
-            self.counters.incr("assignments")
+            counters["assignments"] += 1
             self._execute(message)
         elif cls is NoOpTask:
             if self._idle_pulls > 0:
                 self._idle_pulls -= 1
-            self.counters.incr("noops")
+            counters["noops"] += 1
             self._noop_streak += 1
             exponent = min(self._noop_streak - 1, self.config.poll_backoff_max)
             self._schedule_pull(self.config.poll_interval_s * (1 << exponent))
@@ -187,12 +151,9 @@ class LiveExecutor(asyncio.DatagramProtocol):
                     self.registered.set()
                 self._ensure_pulls()
             else:
-                self.counters.incr("register_rejected")
+                counters.incr("register_rejected")
         else:
-            self.counters.incr("unexpected")
-
-    def error_received(self, exc) -> None:
-        self.counters.incr("socket_errors")
+            counters.incr("unexpected")
 
     # -- registration + pulls ----------------------------------------------
 
@@ -217,35 +178,21 @@ class LiveExecutor(asyncio.DatagramProtocol):
 
     def _ensure_pulls(self) -> None:
         while (
-            not self._closing
+            not self.closed
             and self._transport is not None
             and self._outstanding() < self.config.max_outstanding
         ):
             self._idle_pulls += 1
-            self.counters.incr("pulls")
+            self.counters["pulls"] += 1
             self._transport.sendto(self._request_bytes)
 
-    def _call_later(self, delay_s: float, fn, *args) -> None:
-        """``loop.call_later`` with the handle tracked for teardown."""
-        if self._closing or self._loop is None:
-            return
-        handle: Optional[asyncio.TimerHandle] = None
-
-        def fire() -> None:
-            if handle is not None:
-                self._timers.discard(handle)
-            fn(*args)
-
-        handle = self._loop.call_later(delay_s, fire)
-        self._timers.add(handle)
-
     def _schedule_pull(self, delay_s: float) -> None:
-        if self._closing or self._loop is None:
+        if self.closed:
             return
         if self._outstanding() >= self.config.max_outstanding:
             return
         self._scheduled_pulls += 1
-        self._call_later(delay_s, self._fire_scheduled_pull)
+        self._timers.call_later(delay_s, self._fire_scheduled_pull)
 
     def _fire_scheduled_pull(self) -> None:
         self._scheduled_pulls -= 1
@@ -262,7 +209,7 @@ class LiveExecutor(asyncio.DatagramProtocol):
         drain path after the workload ends.
         """
         last_rx = dict(self.counters)
-        while not self._closing:
+        while not self.closed:
             await asyncio.sleep(self.config.watchdog_s)
             if not self.registered.is_set():
                 self._register()
@@ -285,55 +232,57 @@ class LiveExecutor(asyncio.DatagramProtocol):
             duration_ns = int(
                 decode_duration(task.fn_par) * self.config.time_scale
             )
+        started = time.monotonic_ns()  # the one clock read of an inline task
         if duration_ns <= 0:
-            self._complete(assignment, started_ns=time.monotonic_ns())
+            self._complete(assignment, started, started)
         elif duration_ns <= self.config.spin_under_ns:
-            self.counters.incr("spins")
+            self.counters["spins"] += 1
             self._running += 1
-            started = time.monotonic_ns()
             deadline = started + duration_ns
-            while time.monotonic_ns() < deadline:
-                pass
+            now = time.monotonic_ns()
+            while now < deadline:
+                now = time.monotonic_ns()
             self._running -= 1
-            self._complete(assignment, started_ns=started)
-        else:
-            self.counters.incr("timers")
+            self._complete(assignment, started, now)
+        elif not self.closed:
+            self.counters["timers"] += 1
             self._running += 1
-            started = time.monotonic_ns()
-            self._call_later(
+            self._timers.call_later(
                 duration_ns / 1e9, self._finish_timer, assignment, started
             )
 
     def _finish_timer(self, assignment: TaskAssignment, started_ns: int) -> None:
         self._running -= 1
-        self._complete(assignment, started_ns=started_ns)
+        self._complete(assignment, started_ns, time.monotonic_ns())
 
-    def _complete(self, assignment: TaskAssignment, started_ns: int) -> None:
+    def _complete(
+        self, assignment: TaskAssignment, started_ns: int, now_ns: int
+    ) -> None:
         if self._transport is None:
             return
-        self.service_hist.record(time.monotonic_ns() - started_ns)
-        self.counters.incr("completions")
+        self.service_hist.record(now_ns - started_ns)
+        self.counters["completions"] += 1
         # Piggyback the next pull on the completion (§3.1) whenever the
         # freed slot leaves budget for one; the switch processes both in
         # the same traversal.
         piggyback = None
         if (
-            not self._closing
+            not self.closed
             and self._outstanding() < self.config.max_outstanding
         ):
             self._idle_pulls += 1
-            self.counters.incr("pulls")
+            self.counters["pulls"] += 1
             piggyback = self._request
         self._transport.sendto(
             codec.encode(
                 Completion(
-                    uid=assignment.uid,
-                    jid=assignment.jid,
-                    tid=assignment.task.tid,
-                    executor_id=self.executor_id,
-                    success=True,
-                    client=assignment.client,
-                    piggyback_request=piggyback,
+                    assignment.uid,
+                    assignment.jid,
+                    assignment.task.tid,
+                    self.executor_id,
+                    True,
+                    assignment.client,
+                    piggyback,
                 )
             )
         )

@@ -239,8 +239,6 @@ class LiveCluster:
         for executor in self.all_executors():
             await executor.aclose()
         self.switch.close()
-        # Let transport close callbacks run before the loop is torn down.
-        await asyncio.sleep(0)
 
     def diagnostic_dump(self) -> str:
         """Where a hung run was stuck, one component per line."""

@@ -18,31 +18,33 @@ On top of the program, the switch owns the live-only concerns the
 simulator models implicitly: executor registration/liveness
 (:class:`~repro.protocol.messages.ExecutorRegister` → registry + epoch),
 JBSQ-style bounded dispatch (at most ``max_outstanding`` assignments in
-flight per executor), and the priority-inversion probe the conformance
-harness asserts on.
+flight per executor, tracked by task key and enforced where assignments
+are emitted), and the priority-inversion probe the conformance harness
+asserts on.
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.policies import Policy, PriorityPolicy
 from repro.core.scheduler import DraconisProgram
 from repro.ctrl.degradation import DegradationPolicy
 from repro.errors import ProtocolError
-from repro.live.base import Counters, Endpoint, WallClock, bump_socket_buffers
+from repro.live.base import Counters, Endpoint, UdpPort, WallClock
 from repro.net.packet import Address, Packet
 from repro.protocol import codec
 from repro.protocol.messages import (
     Completion,
     ExecutorRegister,
     Heartbeat,
+    JobSubmission,
     NoOpTask,
     RegisterAck,
     TaskAssignment,
+    TaskKey,
     TaskRequest,
 )
 from repro.switchsim.election import ElectionRegister
@@ -56,12 +58,16 @@ event-loop tick, comfortably below the executors' re-poll watchdog."""
 CREDIT_RESYNC_NS = 250_000_000
 """A bound-saturated executor that has not been assigned anything for
 this long gets its credit reset: an assignment or completion datagram was
-lost and the in-flight count leaked (see ``_on_request_bound``)."""
+lost and the in-flight set leaked (see ``_on_request_bound``)."""
 
 MAX_CHAIN = 4096
 """Inline recirculation budget per ingress datagram (a 32-task
 submission chains 31 recirculations plus parked-pull wakes; real
 recirculation ports are similarly bounded)."""
+
+MAX_PEERS = 4096
+"""Source endpoints remembered as interned :class:`Address` objects; a
+full table is emptied and refills from live traffic."""
 
 
 @dataclass
@@ -74,24 +80,15 @@ class ExecutorRecord:
     rack_id: int
     max_outstanding: int
     epoch: int = 1
-    in_flight: int = 0
-    last_seen_ns: int = 0
+    #: keys of the assignments sent and not yet completed. A set, not a
+    #: count: a wire-duplicated completion releases its credit once, and
+    #: only a completion that released credit may bring a pull with it.
+    tasks: Set[TaskKey] = field(default_factory=set)
     last_assign_ns: int = 0
 
-
-@dataclass
-class _SwitchProtocol(asyncio.DatagramProtocol):
-    switch: "SoftSwitch"
-    transport: Optional[asyncio.DatagramTransport] = field(default=None)
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.switch._on_datagram(data, (addr[0], addr[1]))
-
-    def error_received(self, exc) -> None:
-        self.switch.counters.incr("socket_errors")
+    @property
+    def in_flight(self) -> int:
+        return len(self.tasks)
 
 
 class SoftSwitch:
@@ -146,8 +143,10 @@ class SoftSwitch:
         #: live oracle asserts each sequence is strictly increasing.
         self.epoch_history: Dict[int, List[int]] = {}
         self._by_endpoint: Dict[Endpoint, ExecutorRecord] = {}
+        #: source endpoint -> its one Address object (no per-datagram build)
+        self._peers: Dict[Endpoint, Address] = {}
         self._install_hooks: List[Callable] = []
-        self._transport: Optional[asyncio.DatagramTransport] = None
+        self._transport: Any = None
         self._service_address: Optional[Address] = None
 
     # -- switch-shim surface the program reads ----------------------------
@@ -159,15 +158,11 @@ class SoftSwitch:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Endpoint:
-        loop = asyncio.get_running_loop()
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _SwitchProtocol(self), local_addr=(host, port)
+        port_ = UdpPort(
+            lambda: self._on_datagram, self.counters, local_addr=(host, port)
         )
-        bump_socket_buffers(transport)
-        bound = transport.get_extra_info("sockname")
-        if self.transport_wrap is not None:
-            transport = self.transport_wrap(transport)
-        self._transport = transport
+        bound = port_.get_extra_info("sockname")
+        self._transport = self.transport_wrap(port_) if self.transport_wrap else port_
         self._service_address = Address(bound[0], bound[1])
         return (bound[0], bound[1])
 
@@ -220,137 +215,166 @@ class SoftSwitch:
 
     # -- datagram path -----------------------------------------------------
 
-    def _on_datagram(self, data: bytes, addr: Endpoint) -> None:
-        self.counters.incr("rx")
+    def _on_datagram(self, data, addr: Endpoint) -> None:
+        counters = self.counters
+        counters["rx"] += 1
         try:
             message = codec.decode(data)
         except ProtocolError:
-            self.counters.incr("malformed")
+            counters["malformed"] += 1
             return
+        now = self.sim.now  # the one clock read the shim takes per datagram
         cls = message.__class__
-        if cls is ExecutorRegister:
-            self._on_register(message, addr)
-            return
-        if cls is Heartbeat:
-            record = self.executors.get(message.executor_id)
-            if record is not None:
-                record.last_seen_ns = self.sim.now
-            self.counters.incr("heartbeats")
-            return
         if cls is Completion:
             record = self.executors.get(message.executor_id)
             if record is not None:
-                record.last_seen_ns = self.sim.now
-                if record.in_flight > 0:
-                    record.in_flight -= 1
-        elif cls is TaskRequest and self._on_request_bound(message, addr):
+                key = (message.uid, message.jid, message.tid)
+                if key in record.tasks:
+                    record.tasks.remove(key)
+                elif message.piggyback_request is not None:
+                    # Not in flight here: a wire duplicate, or credit that a
+                    # resync / re-registration already forgot. The client
+                    # still gets the notice (it dedups by key); the pull
+                    # riding on it has no budget behind it: not admitted.
+                    message.piggyback_request = None
+                    counters["stale_piggybacks"] += 1
+        elif cls is TaskRequest and self._on_request_bound(message, addr, now):
             return
-        packet = Packet(
-            src=Address(addr[0], addr[1]),
-            dst=self._service_address,
-            payload=message,
-            size=len(data),
-        )
-        self._run(packet)
+        elif cls is ExecutorRegister:
+            self._on_register(message, addr)
+            return
+        elif cls is Heartbeat:
+            counters["heartbeats"] += 1
+            return
+        src = self._peers.get(addr)
+        if src is None:
+            if len(self._peers) >= MAX_PEERS:
+                self._peers.clear()
+            src = self._peers[addr] = Address(addr[0], addr[1])
+        self._run(Packet(src, self._service_address, message, len(data)), now)
 
     def _on_register(self, msg: ExecutorRegister, addr: Endpoint) -> None:
-        record = self.executors.get(msg.executor_id)
-        if record is None:
-            record = ExecutorRecord(
-                executor_id=msg.executor_id,
-                endpoint=addr,
-                node_id=msg.node_id,
-                rack_id=msg.rack_id,
-                max_outstanding=max(1, msg.max_outstanding),
-            )
-            self.executors[msg.executor_id] = record
-        else:
+        old = self.executors.get(msg.executor_id)
+        if old is not None:
             # Re-registration = a new incarnation (restart or a lost ack
-            # retry): bump the epoch, forget stale credit, and move the
-            # endpoint in case the executor came back on a new port.
-            self._by_endpoint.pop(record.endpoint, None)
-            record.endpoint = addr
-            record.node_id = msg.node_id
-            record.rack_id = msg.rack_id
-            record.max_outstanding = max(1, msg.max_outstanding)
-            record.epoch += 1
-            record.in_flight = 0
-        record.last_seen_ns = self.sim.now
-        self._by_endpoint[addr] = record
+            # retry): the fresh record below bumps the epoch and forgets
+            # stale credit; the endpoint moves in case the executor came
+            # back on a new port.
+            self._by_endpoint.pop(old.endpoint, None)
+        record = ExecutorRecord(
+            executor_id=msg.executor_id,
+            endpoint=addr,
+            node_id=msg.node_id,
+            rack_id=msg.rack_id,
+            max_outstanding=max(1, msg.max_outstanding),
+            epoch=old.epoch + 1 if old is not None else 1,
+        )
+        self.executors[msg.executor_id] = self._by_endpoint[addr] = record
         self.epoch_history.setdefault(msg.executor_id, []).append(record.epoch)
         self.counters.incr("registrations")
-        self._send(
-            addr,
-            RegisterAck(
-                executor_id=msg.executor_id, epoch=record.epoch, accepted=True
-            ),
-        )
+        self._send(addr, RegisterAck(msg.executor_id, record.epoch, True))
 
-    def _on_request_bound(self, request: TaskRequest, addr: Endpoint) -> bool:
+    def _on_request_bound(
+        self, request: TaskRequest, addr: Endpoint, now: int
+    ) -> bool:
         """JBSQ-style dispatch bound; True when the pull was absorbed.
 
         A registered executor with ``max_outstanding`` assignments already
         in flight gets a no-op instead of a queue access. Credit leaks
         (an assignment or completion datagram lost on the floor) self-heal
-        after :data:`CREDIT_RESYNC_NS` without traffic.
+        after :data:`CREDIT_RESYNC_NS` without traffic. A pull admitted
+        here can still be one too many (the wire duplicated it while the
+        executor was idle, and every copy parks), so the bound is checked
+        again at emission (:meth:`_over_bound`).
         """
         record = self.executors.get(request.executor_id)
         if record is None:
             self.counters.incr("unregistered_pulls")
             return False
-        now = self.sim.now
-        record.last_seen_ns = now
-        if record.in_flight < record.max_outstanding:
+        if len(record.tasks) < record.max_outstanding:
             return False
         if now - record.last_assign_ns > CREDIT_RESYNC_NS:
-            record.in_flight = 0
+            record.tasks.clear()
             self.counters.incr("credit_resyncs")
             return False
         self.counters.incr("bounded_rejects")
         self._send(addr, NoOpTask())
         return True
 
-    def _run(self, packet: Packet) -> None:
+    def _run(self, packet: Packet, now: int) -> None:
         """One ingress datagram = one traversal chain.
 
-        Recirculations re-enter through a bounded deque with a fresh
+        Recirculations re-enter in FIFO order with a fresh
         :class:`PacketContext` each, exactly like the simulator's
         recirculation port — the one-access-per-register-array constraint
-        is enforced here too, on real traffic.
+        is enforced here too, on real traffic. Most traversals do not
+        recirculate, so the chain is only allocated when one does.
         """
         program = self.program
         counters = self.counters
-        chain: Deque[Packet] = deque((packet,))
+        transport = self._transport
+        chain: Optional[deque] = None
         budget = self.max_chain
-        while chain:
-            if budget <= 0:
-                counters.incr("chain_overflows", len(chain))
-                break
+        while budget > 0:
             budget -= 1
-            pkt = chain.popleft()
-            ctx = PacketContext(pkt)
-            for action in program.process(ctx, pkt):
+            for action in program.process(PacketContext(packet), packet):
                 acls = action.__class__
+                again = None
                 if acls is Reply:
-                    self._emit(action.dst, action.payload)
+                    payload = action.payload
+                    if payload.__class__ is TaskAssignment:
+                        again = self._over_bound(action.dst, payload, now)
+                    if again is None and transport is not None:
+                        transport.sendto(codec.encode(payload), action.dst)
+                        counters["tx"] += 1
                 elif acls is Recirculate:
-                    counters.incr("recirculations")
-                    chain.append(action.packet)
+                    counters["recirculations"] += 1
+                    again = action.packet
                 elif acls is Drop:
-                    counters.incr("program_drops")
+                    counters["program_drops"] += 1
                 else:  # Forward: nothing routable behind the soft switch
-                    counters.incr("forwards_dropped")
+                    counters["forwards_dropped"] += 1
+                if again is not None:
+                    if chain is None:
+                        chain = deque()
+                    chain.append(again)
+            if not chain:
+                return
+            packet = chain.popleft()
+        counters.incr("chain_overflows", 1 + len(chain or ()))
 
-    def _emit(self, dst: Address, payload) -> None:
-        if payload.__class__ is TaskAssignment:
-            record = self._by_endpoint.get((dst.node, dst.port))
-            if record is not None:
-                record.in_flight += 1
-                record.last_assign_ns = self.sim.now
-            self.counters.incr("assignments")
-            if self._inversion_probe:
-                self._check_inversion(payload)
-        self._send((dst.node, dst.port), payload)
+    def _over_bound(
+        self, dst: Address, assignment: TaskAssignment, now: int
+    ) -> Optional[Packet]:
+        """Charge an outgoing assignment to its executor's credit.
+
+        The bound is enforced here, where the assignment would leave,
+        not trusted from ingress: when the executor already holds
+        ``max_outstanding`` tasks the pull being answered was forged (a
+        wire-duplicated pull parks like a real one), and the dequeued
+        task is returned as a one-task submission from its own client to
+        go back through the queue (the client gets one more ack).
+        """
+        record = self._by_endpoint.get(dst)
+        if record is not None:
+            tasks = record.tasks
+            if len(tasks) >= record.max_outstanding:
+                self.counters["over_dispatch_requeues"] += 1
+                job = JobSubmission(
+                    assignment.uid, assignment.jid, [assignment.task]
+                )
+                return Packet(
+                    assignment.client,
+                    self._service_address,
+                    job,
+                    codec.wire_size(job),
+                )
+            tasks.add((assignment.uid, assignment.jid, assignment.task.tid))
+            record.last_assign_ns = now
+        self.counters["assignments"] += 1
+        if self._inversion_probe:
+            self._check_inversion(assignment)
+        return None
 
     def _check_inversion(self, assignment: TaskAssignment) -> None:
         """Priority-ordering probe, run on every assignment.
@@ -372,10 +396,9 @@ class SoftSwitch:
                 return
 
     def _send(self, addr: Endpoint, payload) -> None:
-        if self._transport is None:
-            return
-        self._transport.sendto(codec.encode(payload), addr)
-        self.counters.incr("tx")
+        if self._transport is not None:
+            self._transport.sendto(codec.encode(payload), addr)
+            self.counters["tx"] += 1
 
     # -- inspection --------------------------------------------------------
 

@@ -13,12 +13,17 @@ carry. :func:`wire_size` returns the encoded size without building the
 bytes (hot path).
 
 Implementation notes (perf): every fixed field group is a precompiled
-:class:`struct.Struct`; dispatch is a dict keyed by message class
-(encode/size) or by the opcode byte (decode) instead of an isinstance
-ladder; :func:`decode` accepts any buffer (``bytes`` or ``memoryview``)
-and recurses into piggybacked messages through a zero-copy view. The
-wire format itself is unchanged — ``tests/data/golden_codec.json`` pins
-the exact bytes produced by the pre-overhaul codec.
+:class:`struct.Struct`, folded so the per-task messages (request,
+assignment, completion) take one or two pack/unpack calls; dispatch is a
+dict keyed by message class (encode/size) or by the opcode byte (decode)
+instead of an isinstance ladder; messages are built positionally;
+:func:`decode` accepts any buffer (``bytes`` or ``memoryview``) and
+copies everything it keeps. Addresses are interned in both directions in
+two small bounded caches — a cluster talks to a handful of endpoints, so
+after the first datagram none is UTF-8 encoded, decoded or constructed
+again. The wire format itself is unchanged —
+``tests/data/golden_codec.json`` pins the exact bytes produced by the
+pre-overhaul codec.
 """
 
 from __future__ import annotations
@@ -58,10 +63,11 @@ _U64 = struct.Struct(">Q")
 _TASK_HEAD = struct.Struct(">IIH")  # tid fn_id par_len
 _JOB_HEAD = struct.Struct(">BIIH")  # op uid jid #tasks
 _TASK_REQUEST_WIRE = struct.Struct(">BIHHQB")  # whole message, 18 bytes
-_PAIR_HEAD = struct.Struct(">BII")  # op uid jid
+_PAIR_TASK_HEAD = struct.Struct(">BIIIIH")  # op uid jid + task head, 19 bytes
 _ACK_WIRE = struct.Struct(">BIIH")  # whole message, 11 bytes
 _ERROR_HEAD = struct.Struct(">BIIIH")  # op uid jid backoff #tasks
 _COMPLETION_HEAD = struct.Struct(">BIIIIB")  # op uid jid tid exec success
+_PIGGYBACK_TAIL = struct.Struct(">BBIHHQB")  # flag=1 + a whole task_request
 _SWAP_MID = struct.Struct(">IQHHI")  # swap_indx exec_props node rack rtr_ptr
 _SWAP_TAIL = struct.Struct(">IHHBB")  # exec_id swaps skip insert qindex
 _HEARTBEAT_WIRE = struct.Struct(">BIH")  # whole message, 7 bytes
@@ -88,6 +94,8 @@ _OP_ELECTION_REQ = int(OpCode.ELECTION_REQUEST)
 _OP_ELECTION_ACK = int(OpCode.ELECTION_ACK)
 _OP_CTRL_SYNC = int(OpCode.CONTROLLER_SYNC)
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
 MAX_CTRL_OPS_PER_PACKET = 48
 """#OPS limit so a controller_sync delta fits in one MTU; bigger flushes
 split across packets (the leader's journal flush loop chunks)."""
@@ -99,17 +107,27 @@ MAX_TASKS_PER_PACKET = 32
 """#TASKS limit so a job_submission fits in one MTU; bigger jobs split
 across packets (§4.3, "Handling Large Jobs")."""
 
+ADDRESS_CACHE_LIMIT = 1024
+"""Entries per address-interning cache; a full one is emptied and refills
+from traffic (this only bounds memory against address churn)."""
 
-def _encode_task(out: bytearray, task: TaskInfo) -> None:
+
+def _checked_fn_par(task: TaskInfo) -> bytes:
     fn_par = task.fn_par
     if len(fn_par) > MAX_FN_PAR_BYTES:
         raise ProtocolError(
             f"fn_par of {len(fn_par)} bytes exceeds the fixed field "
             f"({MAX_FN_PAR_BYTES}); use the indirection mechanisms of §4.4"
         )
-    out += _TASK_HEAD.pack(task.tid, task.fn_id, len(fn_par))
-    out += fn_par
-    out += _U64.pack(task.tprops & 0xFFFFFFFFFFFFFFFF)
+    return fn_par
+
+
+def _task_parts(parts: list, tasks) -> None:
+    for task in tasks:
+        fn_par = _checked_fn_par(task)
+        parts.append(_TASK_HEAD.pack(task.tid, task.fn_id, len(fn_par)))
+        parts.append(fn_par)
+        parts.append(_U64.pack(task.tprops & _MASK64))
 
 
 def _decode_task(data, offset: int) -> tuple:
@@ -118,32 +136,54 @@ def _decode_task(data, offset: int) -> tuple:
     end = start + par_len
     fn_par = bytes(data[start:end])
     tprops = _U64.unpack_from(data, end)[0]
-    return TaskInfo(tid=tid, fn_id=fn_id, fn_par=fn_par, tprops=tprops), end + 8
+    return TaskInfo(tid, fn_id, fn_par, tprops), end + 8
 
 
 def _task_size(task: TaskInfo) -> int:
     return 18 + len(task.fn_par)
 
 
-def _encode_address(out: bytearray, address: Optional[Address]) -> None:
+# Both caches hold only well-formed addresses: an entry is inserted after
+# its slice decoded (or its node encoded) without error, never before.
+_wire_of_address: Dict[Address, bytes] = {}
+_address_of_wire: Dict[bytes, Address] = {}
+
+
+def _address_wire(address: Optional[Address]) -> bytes:
     if address is None:
-        out.append(0)
-        return
-    node = address.node.encode("utf-8")
-    if len(node) > 255:
-        raise ProtocolError(f"node name too long: {address.node!r}")
-    out.append(len(node))
-    out += node
-    out += _U16.pack(address.port)
+        return b"\x00"
+    wire = _wire_of_address.get(address)
+    if wire is None:
+        node = address.node.encode("utf-8")
+        if len(node) > 255:
+            raise ProtocolError(f"node name too long: {address.node!r}")
+        wire = bytes((len(node),)) + node + _U16.pack(address.port)
+        if len(_wire_of_address) >= ADDRESS_CACHE_LIMIT:
+            _wire_of_address.clear()
+        _wire_of_address[address] = wire
+    return wire
 
 
 def _decode_address(data, offset: int) -> tuple:
     length = data[offset]
     if length == 0:
         return None, offset + 1
-    node = bytes(data[offset + 1 : offset + 1 + length]).decode("utf-8")
-    port = _U16.unpack_from(data, offset + 1 + length)[0]
-    return Address(node, port), offset + 3 + length
+    end = offset + 3 + length
+    # The key keeps the length byte, so a truncated slice (shorter than
+    # its own length byte claims) can never equal a cached whole one.
+    wire = bytes(data[offset:end])
+    address = _address_of_wire.get(wire)
+    if address is None:
+        if len(wire) != 3 + length:
+            raise ProtocolError("truncated address")
+        address = Address(
+            wire[1 : 1 + length].decode("utf-8"),
+            _U16.unpack_from(wire, 1 + length)[0],
+        )
+        if len(_address_of_wire) >= ADDRESS_CACHE_LIMIT:
+            _address_of_wire.clear()
+        _address_of_wire[wire] = address
+    return address, end
 
 
 def _address_size(address: Optional[Address]) -> int:
@@ -160,53 +200,62 @@ def _address_size(address: Optional[Address]) -> int:
 # -- encode -------------------------------------------------------------------
 
 
-def _enc_job(out: bytearray, m: JobSubmission) -> None:
+def _enc_job(m: JobSubmission) -> bytes:
     tasks = m.tasks
     if len(tasks) > MAX_TASKS_PER_PACKET:
         raise ProtocolError(
             f"{len(tasks)} tasks exceed the per-packet limit "
             f"({MAX_TASKS_PER_PACKET}); split the job across packets"
         )
-    out += _JOB_HEAD.pack(_OP_JOB, m.uid, m.jid, len(tasks))
-    for task in tasks:
-        _encode_task(out, task)
+    parts = [_JOB_HEAD.pack(_OP_JOB, m.uid, m.jid, len(tasks))]
+    _task_parts(parts, tasks)
+    return b"".join(parts)
 
 
-def _enc_request(out: bytearray, m: TaskRequest) -> None:
-    out += _TASK_REQUEST_WIRE.pack(
+def _enc_request(m: TaskRequest) -> bytes:
+    return _TASK_REQUEST_WIRE.pack(
         _OP_REQUEST,
         m.executor_id,
         m.node_id,
         m.rack_id,
-        m.exec_rsrc & 0xFFFFFFFFFFFFFFFF,
+        m.exec_rsrc & _MASK64,
         m.rtrv_prio,
     )
 
 
-def _enc_assignment(out: bytearray, m: TaskAssignment) -> None:
-    out += _PAIR_HEAD.pack(_OP_ASSIGNMENT, m.uid, m.jid)
-    _encode_task(out, m.task)
-    _encode_address(out, m.client)
-
-
-def _enc_noop(out: bytearray, m: NoOpTask) -> None:
-    out += _NOOP_BYTES
-
-
-def _enc_ack(out: bytearray, m: SubmissionAck) -> None:
-    out += _ACK_WIRE.pack(_OP_ACK, m.uid, m.jid, m.accepted)
-
-
-def _enc_error(out: bytearray, m: ErrorPacket) -> None:
-    out += _ERROR_HEAD.pack(
-        _OP_ERROR, m.uid, m.jid, m.backoff_hint_ns, len(m.tasks)
+def _pair_task(op: int, uid: int, jid: int, task: TaskInfo) -> bytes:
+    fn_par = _checked_fn_par(task)
+    return (
+        _PAIR_TASK_HEAD.pack(op, uid, jid, task.tid, task.fn_id, len(fn_par))
+        + fn_par
+        + _U64.pack(task.tprops & _MASK64)
     )
-    for task in m.tasks:
-        _encode_task(out, task)
 
 
-def _enc_completion(out: bytearray, m: Completion) -> None:
-    out += _COMPLETION_HEAD.pack(
+def _enc_assignment(m: TaskAssignment) -> bytes:
+    return _pair_task(_OP_ASSIGNMENT, m.uid, m.jid, m.task) + _address_wire(
+        m.client
+    )
+
+
+def _enc_noop(m: NoOpTask) -> bytes:
+    return _NOOP_BYTES
+
+
+def _enc_ack(m: SubmissionAck) -> bytes:
+    return _ACK_WIRE.pack(_OP_ACK, m.uid, m.jid, m.accepted)
+
+
+def _enc_error(m: ErrorPacket) -> bytes:
+    parts = [
+        _ERROR_HEAD.pack(_OP_ERROR, m.uid, m.jid, m.backoff_hint_ns, len(m.tasks))
+    ]
+    _task_parts(parts, m.tasks)
+    return b"".join(parts)
+
+
+def _enc_completion(m: Completion) -> bytes:
+    head = _COMPLETION_HEAD.pack(
         _OP_COMPLETION,
         m.uid,
         m.jid,
@@ -214,65 +263,77 @@ def _enc_completion(out: bytearray, m: Completion) -> None:
         m.executor_id,
         1 if m.success else 0,
     )
-    _encode_address(out, m.client)
-    piggyback = m.piggyback_request
-    if piggyback is not None:
-        out.append(1)
-        _encode_into(out, piggyback)
-    else:
-        out.append(0)
-
-
-def _enc_swap(out: bytearray, m: SwapTaskPacket) -> None:
-    out += _PAIR_HEAD.pack(_OP_SWAP, m.uid, m.jid)
-    _encode_task(out, m.task)
-    _encode_address(out, m.client)
-    out += _SWAP_MID.pack(
-        m.swap_indx,
-        m.exec_props & 0xFFFFFFFFFFFFFFFF,
-        m.node_id,
-        m.rack_id,
-        m.pkt_retrieve_ptr,
-    )
-    _encode_address(out, m.requester)
-    out += _SWAP_TAIL.pack(
-        m.executor_id,
-        m.swaps_left,
-        m.skip_counter,
-        1 if m.insert_mode else 0,
-        m.queue_index,
+    request = m.piggyback_request
+    if request is None:
+        return head + _address_wire(m.client) + b"\x00"
+    return (
+        head
+        + _address_wire(m.client)
+        + _PIGGYBACK_TAIL.pack(
+            1,
+            _OP_REQUEST,
+            request.executor_id,
+            request.node_id,
+            request.rack_id,
+            request.exec_rsrc & _MASK64,
+            request.rtrv_prio,
+        )
     )
 
 
-def _enc_heartbeat(out: bytearray, m: Heartbeat) -> None:
-    out += _HEARTBEAT_WIRE.pack(_HEARTBEAT_OP, m.executor_id, m.node_id)
+def _enc_swap(m: SwapTaskPacket) -> bytes:
+    return b"".join(
+        (
+            _pair_task(_OP_SWAP, m.uid, m.jid, m.task),
+            _address_wire(m.client),
+            _SWAP_MID.pack(
+                m.swap_indx,
+                m.exec_props & _MASK64,
+                m.node_id,
+                m.rack_id,
+                m.pkt_retrieve_ptr,
+            ),
+            _address_wire(m.requester),
+            _SWAP_TAIL.pack(
+                m.executor_id,
+                m.swaps_left,
+                m.skip_counter,
+                1 if m.insert_mode else 0,
+                m.queue_index,
+            ),
+        )
+    )
 
 
-def _enc_register(out: bytearray, m: ExecutorRegister) -> None:
-    out += _REGISTER_WIRE.pack(
+def _enc_heartbeat(m: Heartbeat) -> bytes:
+    return _HEARTBEAT_WIRE.pack(_HEARTBEAT_OP, m.executor_id, m.node_id)
+
+
+def _enc_register(m: ExecutorRegister) -> bytes:
+    return _REGISTER_WIRE.pack(
         _OP_REGISTER,
         m.executor_id,
         m.node_id,
         m.rack_id,
-        m.exec_rsrc & 0xFFFFFFFFFFFFFFFF,
+        m.exec_rsrc & _MASK64,
         m.max_outstanding,
     )
 
 
-def _enc_register_ack(out: bytearray, m: RegisterAck) -> None:
-    out += _REGISTER_ACK_WIRE.pack(
+def _enc_register_ack(m: RegisterAck) -> bytes:
+    return _REGISTER_ACK_WIRE.pack(
         _OP_REGISTER_ACK, m.executor_id, m.epoch, 1 if m.accepted else 0
     )
 
 
-def _enc_election_request(out: bytearray, m: ElectionRequest) -> None:
-    out += _ELECTION_REQ_WIRE.pack(
+def _enc_election_request(m: ElectionRequest) -> bytes:
+    return _ELECTION_REQ_WIRE.pack(
         _OP_ELECTION_REQ, m.candidate_id, m.term, m.lease_ns
     )
 
 
-def _enc_election_ack(out: bytearray, m: ElectionAck) -> None:
-    out += _ELECTION_ACK_WIRE.pack(
+def _enc_election_ack(m: ElectionAck) -> bytes:
+    return _ELECTION_ACK_WIRE.pack(
         _OP_ELECTION_ACK,
         m.leader_id,
         m.term,
@@ -281,39 +342,40 @@ def _enc_election_ack(out: bytearray, m: ElectionAck) -> None:
     )
 
 
-def _enc_ctrl_sync(out: bytearray, m: ControllerSync) -> None:
+def _enc_ctrl_sync(m: ControllerSync) -> bytes:
     ops = m.ops
     if len(ops) > MAX_CTRL_OPS_PER_PACKET:
         raise ProtocolError(
             f"{len(ops)} ctrl ops exceed the per-packet limit "
             f"({MAX_CTRL_OPS_PER_PACKET}); chunk the flush"
         )
-    out += _CTRL_SYNC_HEAD.pack(
-        _OP_CTRL_SYNC,
-        m.leader_id,
-        m.term,
-        m.seq,
-        1 if m.snapshot else 0,
-        len(ops),
-    )
-    for op in ops:
-        out += _CTRL_OP_WIRE.pack(
-            op.kind,
-            op.executor_id,
-            op.a,
-            op.b,
-            op.c,
-            op.d & 0xFFFFFFFFFFFFFFFF,
+    parts = [
+        _CTRL_SYNC_HEAD.pack(
+            _OP_CTRL_SYNC,
+            m.leader_id,
+            m.term,
+            m.seq,
+            1 if m.snapshot else 0,
+            len(ops),
         )
+    ]
+    for op in ops:
+        parts.append(
+            _CTRL_OP_WIRE.pack(
+                op.kind, op.executor_id, op.a, op.b, op.c, op.d & _MASK64
+            )
+        )
+    return b"".join(parts)
 
 
-def _enc_repair(out: bytearray, m: RepairPacket) -> None:
+def _enc_repair(m: RepairPacket) -> bytes:
     target = m.target.encode("ascii")
-    out.append(_OP_REPAIR)
-    out.append(len(target))
-    out += target
-    out += _U32.pack(m.value)
-    out.append(m.queue_index)
+    return (
+        bytes((_OP_REPAIR, len(target)))
+        + target
+        + _U32.pack(m.value)
+        + bytes((m.queue_index,))
+    )
 
 
 _ENCODERS: Dict[type, Callable] = {
@@ -335,57 +397,53 @@ _ENCODERS: Dict[type, Callable] = {
 }
 
 
-def _encode_into(out: bytearray, message) -> None:
-    encoder = _ENCODERS.get(message.__class__)
-    if encoder is None:
-        # Subclasses of a message type fall back to their base encoder.
-        for cls, candidate in _ENCODERS.items():
-            if isinstance(message, cls):
-                encoder = candidate
-                break
-        else:
-            raise ProtocolError(f"cannot encode {type(message).__name__}")
-    encoder(out, message)
+def _for_subclass(table: Dict[type, Callable], message, verb: str) -> Callable:
+    """Subclasses of a message type fall back to their base's entry."""
+    for cls, candidate in table.items():
+        if isinstance(message, cls):
+            return candidate
+    raise ProtocolError(f"cannot {verb} {type(message).__name__}")
 
 
 def encode(message) -> bytes:
     """Serialize any protocol message to bytes."""
-    out = bytearray()
-    _encode_into(out, message)
-    return bytes(out)
+    encoder = _ENCODERS.get(message.__class__) or _for_subclass(
+        _ENCODERS, message, "encode"
+    )
+    return encoder(message)
 
 
 # -- decode -------------------------------------------------------------------
 
 
-def _dec_job(data):
-    _, uid, jid, count = _JOB_HEAD.unpack_from(data, 0)
-    offset = 11
+def _decode_tasks(data, offset: int, count: int) -> list:
     tasks = []
     for _i in range(count):
         task, offset = _decode_task(data, offset)
         tasks.append(task)
-    return JobSubmission(uid=uid, jid=jid, tasks=tasks)
+    return tasks
+
+
+def _dec_job(data):
+    _, uid, jid, count = _JOB_HEAD.unpack_from(data, 0)
+    return JobSubmission(uid, jid, _decode_tasks(data, 11, count))
 
 
 def _dec_request(data):
-    _, executor_id, node_id, rack_id, exec_rsrc, rtrv_prio = (
-        _TASK_REQUEST_WIRE.unpack_from(data, 0)
-    )
-    return TaskRequest(
-        executor_id=executor_id,
-        node_id=node_id,
-        rack_id=rack_id,
-        exec_rsrc=exec_rsrc,
-        rtrv_prio=rtrv_prio,
-    )
+    return TaskRequest(*_TASK_REQUEST_WIRE.unpack_from(data, 0)[1:])
+
+
+def _dec_pair_task(data) -> tuple:
+    _, uid, jid, tid, fn_id, par_len = _PAIR_TASK_HEAD.unpack_from(data, 0)
+    end = 19 + par_len
+    fn_par = bytes(data[19:end]) if par_len else b""
+    tprops = _U64.unpack_from(data, end)[0]
+    return uid, jid, TaskInfo(tid, fn_id, fn_par, tprops), end + 8
 
 
 def _dec_assignment(data):
-    _, uid, jid = _PAIR_HEAD.unpack_from(data, 0)
-    task, offset = _decode_task(data, 9)
-    client, _offset = _decode_address(data, offset)
-    return TaskAssignment(uid=uid, jid=jid, task=task, client=client)
+    uid, jid, task, offset = _dec_pair_task(data)
+    return TaskAssignment(uid, jid, task, _decode_address(data, offset)[0])
 
 
 def _dec_noop(data):
@@ -393,20 +451,12 @@ def _dec_noop(data):
 
 
 def _dec_ack(data):
-    _, uid, jid, accepted = _ACK_WIRE.unpack_from(data, 0)
-    return SubmissionAck(uid=uid, jid=jid, accepted=accepted)
+    return SubmissionAck(*_ACK_WIRE.unpack_from(data, 0)[1:])
 
 
 def _dec_error(data):
     _, uid, jid, backoff_hint_ns, count = _ERROR_HEAD.unpack_from(data, 0)
-    offset = 15
-    tasks = []
-    for _i in range(count):
-        task, offset = _decode_task(data, offset)
-        tasks.append(task)
-    return ErrorPacket(
-        uid=uid, jid=jid, tasks=tasks, backoff_hint_ns=backoff_hint_ns
-    )
+    return ErrorPacket(uid, jid, _decode_tasks(data, 15, count), backoff_hint_ns)
 
 
 def _dec_completion(data):
@@ -414,27 +464,17 @@ def _dec_completion(data):
         data, 0
     )
     client, offset = _decode_address(data, 18)
-    piggyback = None
+    request = None
     if data[offset]:
-        # Zero-copy recursion: hand the piggybacked message a view of the
-        # tail rather than slicing a fresh bytes object.
-        piggyback = decode(memoryview(data)[offset + 1 :])
-        if not isinstance(piggyback, TaskRequest):
+        fields = _PIGGYBACK_TAIL.unpack_from(data, offset)
+        if fields[1] != _OP_REQUEST:
             raise ProtocolError("completion piggyback must be TaskRequest")
-    return Completion(
-        uid=uid,
-        jid=jid,
-        tid=tid,
-        executor_id=executor_id,
-        success=bool(success),
-        client=client,
-        piggyback_request=piggyback,
-    )
+        request = TaskRequest(*fields[2:])
+    return Completion(uid, jid, tid, executor_id, success != 0, client, request)
 
 
 def _dec_swap(data):
-    _, uid, jid = _PAIR_HEAD.unpack_from(data, 0)
-    task, offset = _decode_task(data, 9)
+    uid, jid, task, offset = _dec_pair_task(data)
     client, offset = _decode_address(data, offset)
     swap_indx, exec_props, node_id, rack_id, pkt_retrieve_ptr = (
         _SWAP_MID.unpack_from(data, offset)
@@ -444,85 +484,57 @@ def _dec_swap(data):
         _SWAP_TAIL.unpack_from(data, offset)
     )
     return SwapTaskPacket(
-        uid=uid,
-        jid=jid,
-        task=task,
-        client=client,
-        swap_indx=swap_indx,
-        exec_props=exec_props,
-        node_id=node_id,
-        rack_id=rack_id,
-        pkt_retrieve_ptr=pkt_retrieve_ptr,
-        requester=requester,
-        executor_id=executor_id,
-        swaps_left=swaps_left,
-        skip_counter=skip_counter,
-        insert_mode=bool(insert_mode),
-        queue_index=queue_index,
+        task,
+        uid,
+        jid,
+        client,
+        swap_indx,
+        exec_props,
+        node_id,
+        rack_id,
+        pkt_retrieve_ptr,
+        requester,
+        executor_id,
+        swaps_left,
+        skip_counter,
+        insert_mode != 0,
+        queue_index,
     )
 
 
 def _dec_heartbeat(data):
-    _, executor_id, node_id = _HEARTBEAT_WIRE.unpack_from(data, 0)
-    return Heartbeat(executor_id=executor_id, node_id=node_id)
+    return Heartbeat(*_HEARTBEAT_WIRE.unpack_from(data, 0)[1:])
 
 
 def _dec_register(data):
-    _, executor_id, node_id, rack_id, exec_rsrc, max_outstanding = (
-        _REGISTER_WIRE.unpack_from(data, 0)
-    )
-    return ExecutorRegister(
-        executor_id=executor_id,
-        node_id=node_id,
-        rack_id=rack_id,
-        exec_rsrc=exec_rsrc,
-        max_outstanding=max_outstanding,
-    )
+    return ExecutorRegister(*_REGISTER_WIRE.unpack_from(data, 0)[1:])
 
 
 def _dec_register_ack(data):
     _, executor_id, epoch, accepted = _REGISTER_ACK_WIRE.unpack_from(data, 0)
-    return RegisterAck(
-        executor_id=executor_id, epoch=epoch, accepted=bool(accepted)
-    )
+    return RegisterAck(executor_id, epoch, accepted != 0)
 
 
 def _dec_election_request(data):
-    _, candidate_id, term, lease_ns = _ELECTION_REQ_WIRE.unpack_from(data, 0)
-    return ElectionRequest(
-        candidate_id=candidate_id, term=term, lease_ns=lease_ns
-    )
+    return ElectionRequest(*_ELECTION_REQ_WIRE.unpack_from(data, 0)[1:])
 
 
 def _dec_election_ack(data):
     _, leader_id, term, granted, expires_at_ns = _ELECTION_ACK_WIRE.unpack_from(
         data, 0
     )
-    return ElectionAck(
-        leader_id=leader_id,
-        term=term,
-        granted=bool(granted),
-        expires_at_ns=expires_at_ns,
-    )
+    return ElectionAck(leader_id, term, granted != 0, expires_at_ns)
 
 
 def _dec_ctrl_sync(data):
     _, leader_id, term, seq, snapshot, count = _CTRL_SYNC_HEAD.unpack_from(
         data, 0
     )
-    offset = 14
-    ops = []
-    for _i in range(count):
-        kind, executor_id, a, b, c, d = _CTRL_OP_WIRE.unpack_from(data, offset)
-        ops.append(CtrlOp(kind=kind, executor_id=executor_id, a=a, b=b, c=c, d=d))
-        offset += 25
-    return ControllerSync(
-        leader_id=leader_id,
-        term=term,
-        seq=seq,
-        snapshot=bool(snapshot),
-        ops=ops,
-    )
+    ops = [
+        CtrlOp(*_CTRL_OP_WIRE.unpack_from(data, offset))
+        for offset in range(14, 14 + 25 * count, 25)
+    ]
+    return ControllerSync(leader_id, term, seq, snapshot != 0, ops)
 
 
 def _dec_repair(data):
@@ -530,7 +542,7 @@ def _dec_repair(data):
     target = bytes(data[2 : 2 + length]).decode("ascii")
     value = _U32.unpack_from(data, 2 + length)[0]
     queue_index = data[6 + length]
-    return RepairPacket(target=target, value=value, queue_index=queue_index)
+    return RepairPacket(target, value, queue_index)
 
 
 _DECODERS: Dict[int, Callable] = {
@@ -577,22 +589,14 @@ def decode(data):
 _TASK_REQUEST_SIZE = _TASK_REQUEST_WIRE.size  # 18
 
 
-def _size_job(m: JobSubmission) -> int:
-    size = 11
-    for task in m.tasks:
+def _tasks_size(size: int, tasks) -> int:
+    for task in tasks:
         size += 18 + len(task.fn_par)
     return size
 
 
 def _size_assignment(m: TaskAssignment) -> int:
     return 9 + _task_size(m.task) + _address_size(m.client)
-
-
-def _size_error(m: ErrorPacket) -> int:
-    size = 15
-    for task in m.tasks:
-        size += 18 + len(task.fn_par)
-    return size
 
 
 def _size_completion(m: Completion) -> int:
@@ -617,12 +621,12 @@ def _size_repair(m: RepairPacket) -> int:
 
 
 _SIZERS: Dict[type, Callable] = {
-    JobSubmission: _size_job,
+    JobSubmission: lambda m: _tasks_size(11, m.tasks),
     TaskRequest: lambda m: _TASK_REQUEST_SIZE,
     TaskAssignment: _size_assignment,
     NoOpTask: lambda m: 1,
     SubmissionAck: lambda m: 11,
-    ErrorPacket: _size_error,
+    ErrorPacket: lambda m: _tasks_size(15, m.tasks),
     Completion: _size_completion,
     SwapTaskPacket: _size_swap,
     Heartbeat: lambda m: 7,
@@ -637,12 +641,7 @@ _SIZERS: Dict[type, Callable] = {
 
 def wire_size(message) -> int:
     """Encoded size in bytes, without building the byte string."""
-    sizer = _SIZERS.get(message.__class__)
-    if sizer is None:
-        for cls, candidate in _SIZERS.items():
-            if isinstance(message, cls):
-                sizer = candidate
-                break
-        else:
-            raise ProtocolError(f"cannot size {type(message).__name__}")
+    sizer = _SIZERS.get(message.__class__) or _for_subclass(
+        _SIZERS, message, "size"
+    )
     return sizer(message)

@@ -5,12 +5,15 @@ task id, pre-compiled function id + argument blob, and the policy-specific
 ``tprops`` word (priority level, resource bitmap, or data-local node id
 depending on the active policy). The unique task identity is the
 ``(uid, jid, tid)`` tuple.
+
+Messages are ``slots`` dataclasses (built per task and per hop) and the
+opcode is a class constant, not a per-instance field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.net.packet import Address
 from repro.protocol.opcodes import OpCode
@@ -19,7 +22,7 @@ TaskKey = Tuple[int, int, int]
 """The globally unique task identity <UID, JID, TID>."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskInfo:
     """Per-task metadata inside a job_submission packet.
 
@@ -38,11 +41,11 @@ class TaskInfo:
     tprops: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class JobSubmission:
     """A batch of independent tasks from one client (OP_CODE=1)."""
 
-    op: OpCode = field(default=OpCode.JOB_SUBMISSION, init=False)
+    op: ClassVar[OpCode] = OpCode.JOB_SUBMISSION
     uid: int = 0
     jid: int = 0
     tasks: List[TaskInfo] = field(default_factory=list)
@@ -56,7 +59,7 @@ class JobSubmission:
         return [(self.uid, self.jid, t.tid) for t in self.tasks]
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRequest:
     """An idle executor asking the scheduler for work (pull model, §4.6).
 
@@ -68,7 +71,7 @@ class TaskRequest:
         rtrv_prio: priority queue to try first (priority policy, §6.1).
     """
 
-    op: OpCode = field(default=OpCode.TASK_REQUEST, init=False)
+    op: ClassVar[OpCode] = OpCode.TASK_REQUEST
     executor_id: int = 0
     node_id: int = 0
     rack_id: int = 0
@@ -76,11 +79,11 @@ class TaskRequest:
     rtrv_prio: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskAssignment:
     """The scheduler handing a task to an executor (OP_CODE=3)."""
 
-    op: OpCode = field(default=OpCode.TASK_ASSIGNMENT, init=False)
+    op: ClassVar[OpCode] = OpCode.TASK_ASSIGNMENT
     uid: int = 0
     jid: int = 0
     task: TaskInfo = field(default_factory=lambda: TaskInfo(tid=0))
@@ -91,24 +94,24 @@ class TaskAssignment:
         return (self.uid, self.jid, self.task.tid)
 
 
-@dataclass
+@dataclass(slots=True)
 class NoOpTask:
     """Returned when no task matching the request is queued (§4.6)."""
 
-    op: OpCode = field(default=OpCode.NO_OP, init=False)
+    op: ClassVar[OpCode] = OpCode.NO_OP
 
 
-@dataclass
+@dataclass(slots=True)
 class SubmissionAck:
     """Acknowledgment that a job_submission was fully enqueued."""
 
-    op: OpCode = field(default=OpCode.SUBMISSION_ACK, init=False)
+    op: ClassVar[OpCode] = OpCode.SUBMISSION_ACK
     uid: int = 0
     jid: int = 0
     accepted: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ErrorPacket:
     """Queue-full rejection carrying the tasks that were not enqueued.
 
@@ -119,14 +122,14 @@ class ErrorPacket:
     re-colliding at the default interval.
     """
 
-    op: OpCode = field(default=OpCode.ERROR, init=False)
+    op: ClassVar[OpCode] = OpCode.ERROR
     uid: int = 0
     jid: int = 0
     tasks: List[TaskInfo] = field(default_factory=list)
     backoff_hint_ns: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Completion:
     """Executor -> client task-completion notice, routed via the switch.
 
@@ -134,7 +137,7 @@ class Completion:
     (§3.1): ``piggyback_request`` holds it when present.
     """
 
-    op: OpCode = field(default=OpCode.COMPLETION, init=False)
+    op: ClassVar[OpCode] = OpCode.COMPLETION
     uid: int = 0
     jid: int = 0
     tid: int = 0
@@ -148,7 +151,7 @@ class Completion:
         return (self.uid, self.jid, self.tid)
 
 
-@dataclass
+@dataclass(slots=True)
 class SwapTaskPacket:
     """Switch-internal packet driving task swapping (§5.1).
 
@@ -169,7 +172,7 @@ class SwapTaskPacket:
         skip_counter: times the in-packet task has been skipped (locality).
     """
 
-    op: OpCode = field(default=OpCode.SWAP_TASK, init=False)
+    op: ClassVar[OpCode] = OpCode.SWAP_TASK
     task: TaskInfo = field(default_factory=lambda: TaskInfo(tid=0))
     uid: int = 0
     jid: int = 0
@@ -187,7 +190,7 @@ class SwapTaskPacket:
     queue_index: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Heartbeat:
     """Executor liveness beacon to the control plane (repro.ctrl).
 
@@ -197,12 +200,12 @@ class Heartbeat:
     waiting out the client timeout window.
     """
 
-    op: OpCode = field(default=OpCode.HEARTBEAT, init=False)
+    op: ClassVar[OpCode] = OpCode.HEARTBEAT
     executor_id: int = 0
     node_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutorRegister:
     """Live-runtime handshake: an executor announcing itself (repro.live).
 
@@ -217,7 +220,7 @@ class ExecutorRegister:
     enforces defensively on top of the executor's own self-limiting.
     """
 
-    op: OpCode = field(default=OpCode.EXECUTOR_REGISTER, init=False)
+    op: ClassVar[OpCode] = OpCode.EXECUTOR_REGISTER
     executor_id: int = 0
     node_id: int = 0
     rack_id: int = 0
@@ -225,7 +228,7 @@ class ExecutorRegister:
     max_outstanding: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class RegisterAck:
     """Scheduler -> executor registration acknowledgment (repro.live).
 
@@ -234,13 +237,13 @@ class RegisterAck:
     (addressed to a previous incarnation) from fresh ones.
     """
 
-    op: OpCode = field(default=OpCode.REGISTER_ACK, init=False)
+    op: ClassVar[OpCode] = OpCode.REGISTER_ACK
     executor_id: int = 0
     epoch: int = 0
     accepted: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class ElectionRequest:
     """Controller replica asking the switch for (or renewing) leadership.
 
@@ -252,13 +255,13 @@ class ElectionRequest:
     the leadership lease duration the candidate requests.
     """
 
-    op: OpCode = field(default=OpCode.ELECTION_REQUEST, init=False)
+    op: ClassVar[OpCode] = OpCode.ELECTION_REQUEST
     candidate_id: int = 0
     term: int = 0
     lease_ns: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ElectionAck:
     """Switch -> candidate election verdict.
 
@@ -268,14 +271,14 @@ class ElectionAck:
     to renew.
     """
 
-    op: OpCode = field(default=OpCode.ELECTION_ACK, init=False)
+    op: ClassVar[OpCode] = OpCode.ELECTION_ACK
     leader_id: int = 0
     term: int = 0
     granted: bool = False
     expires_at_ns: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CtrlOp:
     """One replicated control-plane state operation (wire record).
 
@@ -293,7 +296,7 @@ class CtrlOp:
     d: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ControllerSync:
     """Leader -> follower control-plane state replication.
 
@@ -304,7 +307,7 @@ class ControllerSync:
     the wire (live sync replicates lease/assignment records only).
     """
 
-    op: OpCode = field(default=OpCode.CONTROLLER_SYNC, init=False)
+    op: ClassVar[OpCode] = OpCode.CONTROLLER_SYNC
     leader_id: int = 0
     term: int = 0
     seq: int = 0
@@ -313,7 +316,7 @@ class ControllerSync:
     entries: Optional[dict] = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class RepairPacket:
     """Switch-internal pointer-repair packet (§4.5).
 
@@ -321,7 +324,7 @@ class RepairPacket:
     pointer value computed when the mistake was detected.
     """
 
-    op: OpCode = field(default=OpCode.REPAIR, init=False)
+    op: ClassVar[OpCode] = OpCode.REPAIR
     target: str = "add_ptr"  # or "retrieve_ptr"
     value: int = 0
     queue_index: int = 0  # which replicated queue (priority level)

@@ -231,17 +231,7 @@ class LiveEvidence(RunEvidence):
         ]
 
     def executor_records(self) -> Optional[Iterable[Any]]:
-        # Every executor is held to the bound except where the chaos
-        # layer says the switch's count cannot be trusted right now
-        # (around duplicating wire windows; ChaosNet.credit_unreliable).
-        records = list(self.switch.executors.values())
-        if self.chaos is None:
-            return records
-        return [
-            record
-            for record in records
-            if not self.chaos.credit_unreliable(f"exec{record.executor_id}")
-        ]
+        return list(self.switch.executors.values())
 
     def executor_speeds(self) -> List[Tuple[Any, float]]:
         # a killed incarnation has no speed left to restore

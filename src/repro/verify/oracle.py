@@ -40,11 +40,10 @@ cannot supply (its adapter returns ``None``) is skipped:
   capacity) pass both at the end and in cheap periodic mid-run samples.
 * **in-flight bound / epoch monotonicity** (runtimes with an executor
   registry) — every record the evidence supplies satisfies ``0 <=
-  in_flight <= max_outstanding``, sampled mid-run and at the end (the
-  live adapter withholds a record only around duplicating wire windows,
-  see ``ChaosNet.credit_unreliable``), and the epochs
-  acked to each executor strictly increase across kill/restart and
-  endpoint moves. (``in_flight == 0`` at quiescence is *not* required:
+  in_flight <= max_outstanding``, sampled mid-run and at the end —
+  wire-duplicating windows included — and the epochs acked to each
+  executor strictly increase across kill/restart and endpoint moves.
+  (``in_flight == 0`` at quiescence is *not* required:
   a credit leaked by a dropped assignment only resyncs once the
   executor saturates, by design.)
 * **quiescence** — after the drain window every transient is gone:

@@ -379,6 +379,50 @@ class TestEveryMessageType:
         assert decode(data) == msg
 
 
+class TestAddressInterning:
+    """The two address caches are invisible: same bytes and same
+    messages cold or warm, bounded, and never fed a malformed slice."""
+
+    @staticmethod
+    def caches():
+        return codec_module._wire_of_address, codec_module._address_of_wire
+
+    @given(msg=any_message)
+    @settings(max_examples=200)
+    def test_roundtrip_cold_and_warm(self, msg):
+        for cache in self.caches():
+            cache.clear()
+        cold = encode(msg)
+        assert decode(cold) == msg
+        assert encode(msg) == cold  # warm: identical bytes ...
+        assert decode(cold) == msg  # ... and an equal message
+
+    def test_caches_stay_bounded(self):
+        limit = codec_module.ADDRESS_CACHE_LIMIT
+        for i in range(3 * limit):
+            msg = Completion(uid=1, jid=2, tid=3, client=Address(f"n{i}", i % 65536))
+            assert decode(encode(msg)) == msg
+            assert all(len(cache) <= limit for cache in self.caches())
+
+    @pytest.mark.parametrize(
+        "address_field",
+        [
+            b"\x02\xff\xfe\x00\x07",  # node is not UTF-8
+            b"\x05ab\x00\x07",  # claims 5 node bytes, datagram ends after 2
+            b"\x02ab\x00",  # port cut short
+        ],
+    )
+    def test_malformed_address_raises_and_is_never_cached(self, address_field):
+        # "ab":7 is cached whole; a truncated slice that starts with the
+        # same bytes must not hit it.
+        good = Completion(uid=1, jid=2, tid=3, client=Address("ab", 7))
+        assert decode(encode(good)) == good
+        before = [dict(cache) for cache in self.caches()]
+        with pytest.raises(ProtocolError):
+            decode(encode(good)[:18] + address_field)
+        assert [dict(cache) for cache in self.caches()] == before
+
+
 class TestLimitsAndErrors:
     def test_oversized_fn_par_rejected(self):
         task = TaskInfo(tid=1, fn_par=b"x" * (MAX_FN_PAR_BYTES + 1))

@@ -13,6 +13,7 @@ Two layers, matching how the subsystem can fail:
 """
 
 import asyncio
+import socket
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.cluster.task import TaskSpec
 from repro.errors import ConfigurationError
 from repro.experiments import persist
 from repro.live import results as live_results
-from repro.live.base import Counters, WallClock
+from repro.live.base import RECV_BUDGET, Counters, UdpPort, WallClock
 from repro.live.client import LiveClient, LiveClientConfig
 from repro.live.results import LiveResult
 from repro.live.runtime import LiveSpec, run_live
@@ -100,7 +101,8 @@ class TestRegistration:
     def test_reregister_bumps_epoch_and_moves_endpoint(self):
         switch, transport = make_switch()
         register(switch, executor_id=7, addr=("127.0.0.1", 50001))
-        switch.executors[7].in_flight = 2  # stale credit from incarnation 1
+        # stale credit from incarnation 1
+        switch.executors[7].tasks.update({(1, 1, 0), (1, 1, 1)})
         new_addr = ("127.0.0.1", 50002)
         register(switch, executor_id=7, addr=new_addr)
         record = switch.executors[7]
@@ -127,7 +129,7 @@ class TestDispatchBound:
         switch, transport = make_switch()
         register(switch, max_outstanding=1)
         record = switch.executors[1]
-        record.in_flight = 1
+        record.tasks.add((1, 1, 0))
         record.last_assign_ns = switch.sim.now
         self.pull(switch)
         assert switch.counters["bounded_rejects"] == 1
@@ -138,7 +140,7 @@ class TestDispatchBound:
         switch, _ = make_switch()
         register(switch, max_outstanding=1)
         record = switch.executors[1]
-        record.in_flight = 1
+        record.tasks.add((1, 1, 0))
         # No assignment for > CREDIT_RESYNC_NS: a datagram leaked credit.
         record.last_assign_ns = switch.sim.now - CREDIT_RESYNC_NS - 1
         self.pull(switch)
@@ -163,14 +165,6 @@ class TestDispatchBound:
         assert len(transport.messages(TaskAssignment)) == 1
         assert switch.executors[1].in_flight == 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known SoftSwitch bug (ROADMAP item 2): the bound is checked "
-        "at pull ingress only, so a wire-duplicated completion forges a "
-        "second parked pull and the executor is over-dispatched; live "
-        "chaos seed 49 found it, ChaosNet.credit_unreliable scopes the "
-        "oracle around it",
-    )
     def test_duplicated_completion_cannot_forge_a_pull(self):
         switch, _ = make_switch()
         register(switch, max_outstanding=2)
@@ -211,6 +205,29 @@ class TestDispatchBound:
         assert record.in_flight == 0
         submit(jid=2, tasks=3)
         assert record.in_flight <= record.max_outstanding
+
+
+    def test_duplicated_bare_pull_cannot_over_dispatch(self):
+        # An idle executor sends its two pulls and the wire duplicates
+        # one: all three park (nothing is in flight, so ingress cannot
+        # tell). The bound holds where the assignments are emitted: the
+        # third task goes back into the queue instead of to the executor.
+        switch, transport = make_switch()
+        register(switch, max_outstanding=2)
+        for _ in range(3):
+            self.pull(switch)
+        switch._on_datagram(
+            codec.encode(
+                JobSubmission(
+                    uid=1, jid=1, tasks=[TaskInfo(tid=t) for t in range(3)]
+                )
+            ),
+            ("127.0.0.1", 60000),
+        )
+        assert switch.executors[1].in_flight == 2
+        assert len(transport.messages(TaskAssignment)) == 2
+        assert switch.counters["over_dispatch_requeues"] == 1
+        assert switch.total_queued() == 1  # requeued, not lost
 
 
 class FakeClock:
@@ -370,9 +387,10 @@ class TestBounceJitter:
             ),
             rng=np.random.default_rng(seed),
         )
-        client._loop = object()  # only None-checked on this path
         delays = []
-        client._call_later = lambda delay_s, fn, *args: delays.append(delay_s)
+        client._timers.call_later = lambda delay_s, fn, *args: delays.append(
+            delay_s
+        )
         jid = client.submit([TaskSpec(duration_ns=1_000)])
         for _ in range(bounces):
             client._on_bounce(
@@ -393,15 +411,126 @@ class TestBounceJitter:
         client = LiveClient(
             uid=1, config=LiveClientConfig(bounce_retry_s=0.001)
         )
-        client._loop = object()
         delays = []
-        client._call_later = lambda delay_s, fn, *args: delays.append(delay_s)
+        client._timers.call_later = lambda delay_s, fn, *args: delays.append(
+            delay_s
+        )
         jid = client.submit([TaskSpec(duration_ns=1_000)])
         for _ in range(3):
             client._on_bounce(
                 ErrorPacket(uid=1, jid=jid, tasks=[TaskInfo(tid=0)])
             )
         assert delays == [0.001, 0.002, 0.004]
+
+
+class TestUdpPort:
+    """The drained socket under every live component (real loopback)."""
+
+    @staticmethod
+    def open_port(got, counters=None, **where):
+        """A port appending ``(tag, payload)`` per datagram; also counts
+        wakeups (the handler is fetched once per readiness callback)."""
+        wakeups = []
+        where = where or {"local_addr": ("127.0.0.1", 0)}
+
+        def handler():
+            wakeups.append(len(got))
+            return lambda data, addr: got.append(bytes(data))
+
+        port = UdpPort(handler, Counters() if counters is None else counters, **where)
+        return port, wakeups
+
+    def test_queued_datagrams_all_delivered_in_order_in_one_wakeup(self):
+        async def scenario():
+            got = []
+            port, wakeups = self.open_port(got)
+            sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            for i in range(10):  # loopback: queued before the loop polls
+                sender.sendto(bytes([i]), port.get_extra_info("sockname"))
+            await asyncio.sleep(0.05)
+            sender.close()
+            port.close()
+            assert got == [bytes([i]) for i in range(10)]
+            assert wakeups == [0]
+
+        asyncio.run(scenario())
+
+    def test_budget_lets_a_second_socket_in_before_the_tail(self):
+        async def scenario():
+            got = []
+            busy, _ = self.open_port(got)
+            other, _ = self.open_port(got)
+            sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            flood = RECV_BUDGET + 5
+            for i in range(flood):
+                sender.sendto(b"busy%d" % i, busy.get_extra_info("sockname"))
+            sender.sendto(b"other", other.get_extra_info("sockname"))
+            await asyncio.sleep(0.05)
+            sender.close()
+            busy.close()
+            other.close()
+            # nothing lost, the busy socket's own order kept ...
+            assert [d for d in got if d != b"other"] == [
+                b"busy%d" % i for i in range(flood)
+            ]
+            # ... and the other socket served before the over-budget tail
+            assert got.index(b"other") < got.index(b"busy%d" % RECV_BUDGET)
+
+        asyncio.run(scenario())
+
+    def test_send_errors_are_counted_not_raised(self):
+        async def scenario():
+            dead = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            dead.bind(("127.0.0.1", 0))
+            nobody = dead.getsockname()
+            dead.close()
+            counters = Counters()
+            port, _ = self.open_port([], counters, remote_addr=nobody)
+            for _ in range(3):  # ICMP port-unreachable -> ECONNREFUSED
+                port.sendto(b"x")
+                await asyncio.sleep(0.01)
+            assert counters["socket_errors"] >= 1
+            assert not port.is_closing()
+
+            real = port._sock
+
+            class Full:  # a send buffer with no room left
+                def send(self, data):
+                    raise BlockingIOError
+
+                def __getattr__(self, name):
+                    return getattr(real, name)
+
+            port._sock = Full()
+            port.sendto(b"x")
+            assert counters["send_drops"] == 1
+            port.close()
+            port.sendto(b"x")  # after close: dropped silently
+
+        asyncio.run(scenario())
+
+    def test_close_inside_handler_ends_the_batch_cleanly(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+            got = []
+            port = UdpPort(
+                lambda: lambda data, addr: (got.append(bytes(data)), port.close()),
+                Counters(),
+                local_addr=("127.0.0.1", 0),
+            )
+            fd = port.get_extra_info("socket").fileno()
+            sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            for i in range(5):
+                sender.sendto(bytes([i]), port.get_extra_info("sockname"))
+            await asyncio.sleep(0.05)
+            sender.close()
+            assert got == [b"\x00"] and port.is_closing()
+            assert not errors
+            assert not loop.remove_reader(fd)  # no reader left behind
+
+        asyncio.run(scenario())
 
 
 # -- end to end over real loopback sockets ------------------------------------

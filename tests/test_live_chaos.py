@@ -26,7 +26,6 @@ from repro.faults.events import (
 )
 from repro.faults.plan import LIVE_GRAMMAR, FaultPlan
 from repro.live.chaos import (
-    CREDIT_LINGER_NS,
     ChaosNet,
     ChaosScenario,
     run_live_chaos,
@@ -314,39 +313,36 @@ class TestLiveOracle:
         )
         assert "in-flight-bound" in {v.invariant for v in report.violations}
 
-    def test_in_flight_bound_waived_only_around_duplicating_windows(self):
-        # The SoftSwitch cannot tell a wire-duplicated pull from a real
-        # one (strict xfail in test_live.py), so its count is not judged
-        # on a link while a duplicating window is open there, nor until
-        # the switch's own credit resync must have run. Loss alone waives
-        # nothing, and the waiver ends.
+    def test_in_flight_bound_checked_during_duplicating_windows(self):
+        # The SoftSwitch enforces the bound where assignments are emitted,
+        # so a wire-duplicated pull or completion cannot inflate a count:
+        # every executor is judged while a duplicating window is open on
+        # its link, exactly as outside one.
         net = make_net(
             [
                 LinkFault(duplicate_prob=0.5, nodes=("exec1",), **WINDOW),
                 LinkFault(loss_prob=1.0, nodes=("exec2",), **WINDOW),
             ]
         )
+        assert net.active(("exec1",))[0].duplicate_prob > 0  # window open
         switch = StubSwitch(
-            [StubRecord(1, in_flight=3), StubRecord(2, in_flight=3)]
+            [
+                StubRecord(1, in_flight=3),
+                StubRecord(2, in_flight=3),
+                StubRecord(3, in_flight=2),
+            ]
         )
-
-        def flagged():
-            report = InvariantOracle(
-                LiveEvidence(
-                    switch=switch, client=StubClient(), executors={}, chaos=net
-                )
-            ).check_final()
-            return sorted(
-                v.detail.split()[1]
-                for v in report.violations
-                if v.invariant == "in-flight-bound"
+        report = InvariantOracle(
+            LiveEvidence(
+                switch=switch, client=StubClient(), executors={}, chaos=net
             )
-
-        assert flagged() == ["exec2"]  # window open on exec1's link
-        net.clock.now = WINDOW["end_ns"] + CREDIT_LINGER_NS - 1
-        assert flagged() == ["exec2"]
-        net.clock.now += 1
-        assert flagged() == ["exec1", "exec2"]
+        ).check_final()
+        flagged = sorted(
+            v.detail.split()[1]
+            for v in report.violations
+            if v.invariant == "in-flight-bound"
+        )
+        assert flagged == ["exec1", "exec2"]
 
     def test_suppressed_samples_reported_under_their_own_family(self):
         # One broken check repeats every sample; past the cap the rest

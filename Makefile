@@ -5,7 +5,7 @@ PY ?= python
 # needed. (Targets previously assumed `make install` had been run.)
 export PYTHONPATH := src
 
-.PHONY: install test lint loc coverage bench perf obs-bench determinism obs-report experiments smoke chaos fuzz recovery ha live live-smoke live-chaos examples clean
+.PHONY: install test lint sans-io loc coverage bench perf determinism obs-report experiments smoke chaos fuzz recovery ha live live-smoke live-chaos examples clean
 
 install:
 	$(PY) setup.py develop
@@ -13,9 +13,15 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-lint:
+lint: sans-io
 	$(PY) -m ruff check src/repro tests
 	-$(PY) -m mypy src/repro
+
+# The role cores stay sans-IO: no event loop, socket, simulator, network
+# model or live runtime may be imported where ClientCore/ReplicaCore live.
+sans-io:
+	! grep -nE '^ *(from|import) +(asyncio|socket|repro\.(sim|net|live))\b' \
+		src/repro/cluster/client_core.py src/repro/ctrl/replica_core.py
 
 # Lines of Python per package under src/repro, as a markdown table
 # (ROADMAP item 3 tracks live + verify + faults + ctrl shrinking).
@@ -38,11 +44,10 @@ bench:
 perf:
 	python3 benchmarks/perf/run.py --workload $(W) --trace 1
 
-obs-bench:
-	$(PY) -m repro.obs.bench --scale smoke --check
-
+# The three sim_* workloads of the repo benchmark, traced, twice at one
+# seed: counts and simulated delays must repeat exactly.
 determinism:
-	$(PY) -m repro.obs.bench --scale smoke --determinism
+	python3 benchmarks/ci.py determinism
 
 obs-report:
 	$(PY) -m repro.obs.report

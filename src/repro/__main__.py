@@ -54,7 +54,6 @@ COMMANDS = {
         "replicated controller vs single-controller crash sweep",
     ),
     "replay": ("repro.verify.replay", "deterministic replay of a fuzz case"),
-    "bench": ("repro.obs.bench", "observability micro-benchmarks"),
     "report": ("repro.obs.report", "render saved observability artifacts"),
     "live": ("repro.live.run", "live UDP runtime, one workload"),
     "live-conformance": (

@@ -1,27 +1,25 @@
 """Open-loop clients submitting jobs to the scheduler (paper §3.1).
 
-The client converts workload :class:`SubmitEvent`\\ s into job_submission
-packets (splitting batches across packets when they exceed the per-packet
-task limit, §4.3 "Handling Large Jobs"), and handles the scheduler's
-responses:
-
-* **error_packet** (queue full / repair window): retry the rejected tasks
-  after a short wait (§4.3);
-* **completion**: record end-to-end latency;
-* **timeout**: tasks not completed within ``timeout_factor ×`` their
-  execution time are resubmitted — the paper sets 2× in the R2P2 drop
-  experiments (§8.3) and notes clients typically use 5–10×.
+The simulator driver of :class:`~repro.cluster.client_core.ClientCore`:
+the core decides what to send (packetisation §4.3, bounce retries §4.3,
+timeout resubmissions §8.3 — the paper sets 2× the execution time in the
+R2P2 drop experiments and notes clients typically use 5–10×); this class
+owns the :class:`~repro.net.host.Socket`, the three generator processes
+that wait on simulated time, and the evidence the simulator has and a
+real client would not — the :class:`~repro.metrics.collector.
+MetricsCollector` records, including whether a timed-out task is known
+to be running somewhere.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.cluster.task import SubmitEvent, TaskSpec, encode_duration
+from repro.cluster.client_core import DUPLICATE, STRAY, ClientConfig, ClientCore
+from repro.cluster.task import SubmitEvent
 from repro.metrics.collector import MetricsCollector
 from repro.net.host import Host, Socket
 from repro.net.packet import Address
@@ -30,43 +28,13 @@ from repro.protocol.messages import (
     Completion,
     ErrorPacket,
     JobSubmission,
-    SubmissionAck,
-    TaskInfo,
+    TaskKey,
 )
-from repro.protocol.codec import MAX_TASKS_PER_PACKET
-from repro.sim.core import Simulator, us
+from repro.sim.core import Simulator
+
+__all__ = ["CLIENT_PORT", "Client", "ClientConfig", "ClientStats"]
 
 CLIENT_PORT = 6000
-
-TaskKey = Tuple[int, int, int]
-
-
-@dataclass
-class ClientConfig:
-    """Client behaviour knobs."""
-
-    #: base wait before retrying tasks bounced with an error_packet (§4.3)
-    bounce_retry_ns: int = us(50)
-    #: each bounce retry multiplies the wait (capped exponential backoff —
-    #: a persistently full queue must not be hammered at a fixed interval)
-    bounce_backoff: float = 2.0
-    #: cap on the backoff multiplier (bounce_retry_ns × this at most)
-    bounce_backoff_max: float = 32.0
-    #: ± fraction of random jitter on each bounce wait, desynchronizing
-    #: clients that were all bounced by the same full-queue window
-    bounce_jitter: float = 0.2
-    #: resubmit timeout as a multiple of task execution time; None disables
-    timeout_factor: Optional[float] = None
-    #: floor for the resubmit timeout (short tasks need network headroom)
-    timeout_floor_ns: int = us(50)
-    #: each retry doubles the timeout (congestion would otherwise amplify:
-    #: a queue-backlogged burst times out, the duplicates deepen the
-    #: backlog, and the spiral never converges)
-    timeout_backoff: float = 2.0
-    #: give up after this many resubmissions of one task
-    max_retries: int = 8
-    #: cap on tasks per job_submission packet
-    max_tasks_per_packet: int = MAX_TASKS_PER_PACKET
 
 
 @dataclass
@@ -111,18 +79,10 @@ class Client:
         self.config = config or ClientConfig()
         self.stats = ClientStats()
         self.socket: Socket = host.socket(CLIENT_PORT)
-        self._next_jid = 0
-        #: tasks submitted and not yet completed, for retries
-        self._outstanding: Dict[TaskKey, TaskSpec] = {}
-        #: per-task retry count, shared by bounce retries and timeout
-        #: resubmissions; pruned on completion
-        self._retries: Dict[TaskKey, int] = {}
-        #: tasks abandoned after exhausting the retry budget — the one
-        #: *allowed* way a submitted task ends incomplete; the verify
-        #: oracle treats any other incomplete task as lost
-        self._gave_up: set = set()
-        self._rng = np.random.default_rng(100_000 + uid)
-        self._timeout_heap: List[Tuple[int, TaskKey]] = []
+        self.core = ClientCore(
+            uid, self.config, np.random.default_rng(100_000 + uid)
+        )
+        #: set while the timeout process sleeps on an empty deadline heap
         self._timeout_waker = None
         self.submit_process = sim.spawn(
             self._submit_loop(iter(workload)), name=f"client{uid}-submit"
@@ -133,57 +93,33 @@ class Client:
                 self._timeout_loop(), name=f"client{uid}-timeout"
             )
 
-    # -- submission ---------------------------------------------------------
+    # -- sending ------------------------------------------------------------
 
-    def _task_info(self, tid: int, spec: TaskSpec) -> TaskInfo:
-        return TaskInfo(
-            tid=tid,
-            fn_id=spec.fn_id,
-            fn_par=encode_duration(spec.duration_ns),
-            tprops=spec.tprops,
-        )
+    def _send(self, packets: List[JobSubmission]) -> None:
+        for message in packets:
+            self.socket.send(self.scheduler, message, codec.wire_size(message))
+        self.stats.packets_sent += len(packets)
 
-    def _send_job(self, jid: int, infos: List[TaskInfo]) -> None:
-        message = JobSubmission(uid=self.uid, jid=jid, tasks=infos)
-        self.socket.send(self.scheduler, message, codec.wire_size(message))
-        self.stats.packets_sent += 1
-
-    def _arm_timeout(self, key: TaskKey, spec: TaskSpec) -> None:
-        factor = self.config.timeout_factor
-        if factor is None:
-            return
-        retries = self._retries.get(key, 0)
-        backoff = self.config.timeout_backoff ** retries
-        deadline = self.sim.now + int(
-            max(spec.duration_ns * factor, self.config.timeout_floor_ns)
-            * backoff
-        )
-        heapq.heappush(self._timeout_heap, (deadline, key))
-        if self._timeout_waker is not None and not self._timeout_waker.triggered:
-            self._timeout_waker.succeed()
+    def _wake_timeouts(self) -> None:
+        """A deadline was armed while the timeout process slept on none."""
+        waker = self._timeout_waker
+        if waker is not None and self.core.deadlines:
             self._timeout_waker = None
+            waker.succeed()
 
     def _submit_event(self, event: SubmitEvent) -> None:
-        jid = self._next_jid
-        self._next_jid += 1
-        self.stats.jobs_submitted += 1
-        cap = self.config.max_tasks_per_packet
-        infos: List[TaskInfo] = []
+        now = self.sim.now
+        jid, packets = self.core.submit(now, event.tasks)
+        self._wake_timeouts()
+        on_submit = self.collector.on_submit
         for tid, spec in enumerate(event.tasks):
-            key = (self.uid, jid, tid)
-            self._outstanding[key] = spec
-            self.collector.on_submit(
-                key, self.sim.now, priority=spec.priority,
+            on_submit(
+                (self.uid, jid, tid), now, priority=spec.priority,
                 duration_ns=spec.duration_ns,
             )
-            self._arm_timeout(key, spec)
-            self.stats.tasks_submitted += 1
-            infos.append(self._task_info(tid, spec))
-            if len(infos) == cap:
-                self._send_job(jid, infos)
-                infos = []
-        if infos:
-            self._send_job(jid, infos)
+        self.stats.jobs_submitted += 1
+        self.stats.tasks_submitted += len(event.tasks)
+        self._send(packets)
 
     def _submit_loop(self, events):
         for event in events:
@@ -201,116 +137,41 @@ class Client:
                 self._on_completion(payload)
             elif isinstance(payload, ErrorPacket):
                 self.sim.spawn(self._retry_bounced(payload))
-            elif isinstance(payload, SubmissionAck):
-                pass  # informational
-            # anything else: stray traffic, ignore
+            # SubmissionAck is informational; anything else is stray traffic
 
     def _on_completion(self, completion: Completion) -> None:
         key = completion.key
-        if key not in self._outstanding and key not in self.collector.records:
-            # A completion for a task this client never submitted would
-            # otherwise fabricate a phantom record (submitted_at=-1);
-            # ignore it and count the stray.
+        status = self.core.complete(key)
+        if status == STRAY:
             self.stats.stray_completions += 1
             return
         self.collector.on_complete(key, self.sim.now)
-        self._retries.pop(key, None)
-        self._gave_up.discard(key)
-        if self._outstanding.pop(key, None) is not None:
-            self.stats.tasks_completed += 1
-        else:
+        if status == DUPLICATE:
             self.stats.duplicate_completions += 1
+        else:
+            self.stats.tasks_completed += 1
 
-    # -- verify-oracle inspection -------------------------------------------
-
-    def outstanding_keys(self) -> set:
-        """Keys submitted but not completed (oracle inspection)."""
-        return set(self._outstanding)
-
-    def gave_up_keys(self) -> set:
-        """Outstanding keys abandoned after the retry budget ran out."""
-        return set(self._gave_up)
-
-    def pending_timeout_keys(self) -> set:
-        """Outstanding keys that still have a resubmit timer armed.
-
-        The timeout heap keeps stale entries for completed tasks until
-        the drain loop reaches them; filtering by ``_outstanding`` gives
-        the live view the quiescence invariant needs: an outstanding key
-        with no pending timer and no give-up was silently abandoned.
-        """
-        return {
-            key for _, key in self._timeout_heap if key in self._outstanding
-        }
-
-    def _bounce_delay_ns(self, error: ErrorPacket) -> int:
-        """Wait before re-sending a bounced batch.
-
-        Capped exponential in the batch's retry round (its least-retried
-        outstanding task), with jitter, and never below the scheduler's
-        degraded-mode ``backoff_hint_ns``.
-        """
-        cfg = self.config
-        rounds = min(
-            (
-                self._retries.get((error.uid, error.jid, t.tid), 0)
-                for t in error.tasks
-                if (error.uid, error.jid, t.tid) in self._outstanding
-            ),
-            default=0,
-        )
-        multiplier = min(cfg.bounce_backoff ** rounds, cfg.bounce_backoff_max)
-        delay = cfg.bounce_retry_ns * multiplier
-        if cfg.bounce_jitter > 0:
-            delay *= 1.0 + float(
-                self._rng.uniform(-cfg.bounce_jitter, cfg.bounce_jitter)
-            )
-        return max(1, int(max(delay, error.backoff_hint_ns)))
+    def _resent(self, packets: List[JobSubmission], record) -> int:
+        """Tell the collector about every re-sent task, then send."""
+        now, count = self.sim.now, 0
+        for message in packets:
+            for key in message.task_keys():
+                record(key, now)
+                count += 1
+        self._send(packets)
+        return count
 
     def _retry_bounced(self, error: ErrorPacket):
-        """Re-send tasks rejected by a full queue, after a backoff wait.
-
-        Each retry draws on the same ``max_retries`` budget as timeout
-        resubmissions, so a persistently full queue ends in a counted
-        give-up instead of an infinite bounce loop.
-        """
-        yield self.sim.timeout(self._bounce_delay_ns(error))
-        infos = []
-        for task in error.tasks:
-            key = (error.uid, error.jid, task.tid)
-            spec = self._outstanding.get(key)
-            if spec is None:
-                continue  # completed meanwhile (duplicate submission)
-            retries = self._retries.get(key, 0)
-            if retries >= self.config.max_retries:
-                # Budget exhausted: the task stays outstanding (reported
-                # as unfinished) rather than spinning forever.
-                self.stats.bounce_give_ups += 1
-                self._gave_up.add(key)
-                continue
-            self._retries[key] = retries + 1
-            self.collector.on_bounce(key, now=self.sim.now)
-            self.stats.bounces += 1
-            self._arm_timeout(key, spec)
-            infos.append(task)
-            if len(infos) == self.config.max_tasks_per_packet:
-                self._send_job(error.jid, infos)
-                infos = []
-        if infos:
-            self._send_job(error.jid, infos)
+        """Re-send tasks rejected by a full queue, after a backoff wait."""
+        yield self.sim.timeout(self.core.bounce_delay_ns(error))
+        packets, gave_up = self.core.retry_bounced(self.sim.now, error)
+        self.stats.bounce_give_ups += len(gave_up)
+        self._wake_timeouts()
+        self.stats.bounces += self._resent(packets, self.collector.on_bounce)
 
     # -- timeouts (§8.3) -------------------------------------------------------
 
-    def _deadline_ns(self, key: TaskKey, spec: TaskSpec) -> int:
-        """Resubmit deadline for one task, honouring the retry backoff."""
-        factor = self.config.timeout_factor or 1.0
-        backoff = self.config.timeout_backoff ** self._retries.get(key, 0)
-        return int(
-            max(spec.duration_ns * factor, self.config.timeout_floor_ns)
-            * backoff
-        )
-
-    def _presumed_running(self, key: TaskKey, spec: TaskSpec) -> bool:
+    def _presumed_running(self, key: TaskKey, window_ns: int) -> bool:
         """Whether this task is plausibly still executing somewhere.
 
         ``started_at`` alone is not enough: an executor that crashed
@@ -318,54 +179,37 @@ class Client:
         trusting it would mean never resubmitting — the task is lost. A
         start only defers resubmission while the execution is younger than
         the task's own timeout window; past that, the executor is presumed
-        dead (or the completion lost) and the client resubmits.
+        dead (or the completion lost) and the client resubmits. Finished
+        but the completion never arrived: resubmit.
         """
         record = self.collector.records.get(key)
-        if record is None or record.started_at < 0:
+        if record is None or record.started_at < 0 or record.finished_at >= 0:
             return False
-        if record.finished_at >= 0:
-            # Finished but the completion never arrived: resubmit.
-            return False
-        return self.sim.now - record.started_at <= self._deadline_ns(key, spec)
+        return self.sim.now - record.started_at <= window_ns
 
     def _timeout_loop(self):
+        core = self.core
         while True:
-            # Lazily discard heap entries for tasks that already
-            # completed — otherwise the heap grows by one entry per armed
-            # timeout for the lifetime of the run and the loop sleeps on
-            # deadlines of long-dead entries.
-            heap = self._timeout_heap
-            while heap and heap[0][1] not in self._outstanding:
-                heapq.heappop(heap)
-            if not heap:
+            packets, gave_up = core.expire(self.sim.now, self._presumed_running)
+            self.stats.timeout_give_ups += len(gave_up)
+            self.stats.timeouts += self._resent(
+                packets, self.collector.on_resubmit
+            )
+            deadline = core.next_deadline()
+            if deadline is None:
                 self._timeout_waker = self.sim.event()
                 yield self._timeout_waker
-                continue
-            deadline, key = heap[0]
-            if deadline > self.sim.now:
+            else:
+                # Sleeps through to the deadline it saw: one armed
+                # meanwhile with an earlier deadline is served late.
                 yield self.sim.timeout(deadline - self.sim.now)
-                continue
-            heapq.heappop(heap)
-            spec = self._outstanding.get(key)
-            if spec is None:
-                continue  # completed in time
-            if self._presumed_running(key, spec):
-                # Running somewhere; resubmitting would only duplicate
-                # work. Re-arm and wait.
-                self._arm_timeout(key, spec)
-                continue
-            retries = self._retries.get(key, 0)
-            if retries >= self.config.max_retries:
-                # Give up; the task counts as unfinished. Counted so the
-                # verify oracle can tell a budgeted give-up from a task
-                # the client silently lost track of.
-                if key not in self._gave_up:
-                    self.stats.timeout_give_ups += 1
-                    self._gave_up.add(key)
-                continue
-            self._retries[key] = retries + 1
-            self.stats.timeouts += 1
-            self.collector.on_resubmit(key, self.sim.now)
-            self._arm_timeout(key, spec)
-            uid, jid, tid = key
-            self._send_job(jid, [self._task_info(tid, spec)])
+
+    # -- verify-oracle inspection -------------------------------------------
+
+    def gave_up_keys(self) -> set:
+        """Outstanding keys abandoned after the retry budget ran out."""
+        return set(self.core.gave_up)
+
+    def pending_timeout_keys(self) -> set:
+        """Outstanding keys that still have a resubmit timer armed."""
+        return self.core.pending_timeout_keys()

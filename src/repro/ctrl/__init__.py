@@ -37,17 +37,11 @@ from repro.ctrl.controller import (
     Lease,
 )
 from repro.ctrl.degradation import DegradationPolicy
-from repro.ctrl.replication import (
-    DEFAULT_CTRL_LEASE_NS,
-    ControllerGroup,
-    CtrlJournal,
-    CtrlOpKind,
-    ReplicaController,
-)
+from repro.ctrl.replica_core import CtrlOpKind, ReplicaCore, ReplicaParams
+from repro.ctrl.replication import ControllerGroup, ReplicaController
 
 __all__ = [
     "CTRL_PORT",
-    "DEFAULT_CTRL_LEASE_NS",
     "DEFAULT_CHECKPOINT_INTERVAL_NS",
     "DEFAULT_JOURNAL_CAPACITY",
     "DEFAULT_LEASE_NS",
@@ -57,12 +51,13 @@ __all__ = [
     "Controller",
     "ControllerGroup",
     "ControllerStats",
-    "CtrlJournal",
     "CtrlOpKind",
     "DegradationPolicy",
     "DeltaJournal",
     "Lease",
     "ReplicaController",
+    "ReplicaCore",
+    "ReplicaParams",
     "RecoveryReport",
     "SwitchSnapshot",
 ]

@@ -1,35 +1,17 @@
-"""Replicated control plane: leader election, fencing, and state sync.
+"""Replicated control plane in the simulator: N warm controller replicas.
 
 The unreplicated :class:`~repro.ctrl.controller.Controller` is a single
 point of failure: when it dies, its lease table and assignment mirror
 die with it, and in-flight tasks of crashed executors wait out the full
 client timeout window — exactly the gap the paper's "failure handling
-is nearly free" claim glosses over for the control plane itself. This
-module closes it with N warm replicas and three mechanisms:
+is nearly free" claim glosses over for the control plane itself.
+:class:`ReplicaController` closes it by driving one
+:class:`~repro.ctrl.replica_core.ReplicaCore` (election through the
+switch's :class:`~repro.switchsim.election.ElectionRegister`, term
+fencing, journal/snapshot sync — see that module) on simulated time, and
+supplying what the core does not know: the lease table and assignment
+mirror of the base controller, and what to do with them on a win.
 
-**Election through the switch.** Replicas do not run a quorum protocol
-among themselves; they CAS a leadership lease in the switch's
-:class:`~repro.switchsim.election.ElectionRegister`
-(``switch.election``). Every control-plane action already traverses the
-switch, so the register is the one arbiter that cannot split-brain.
-The protocol is deliberately RNG-free: each replica polls on a fixed
-period with a per-replica start stagger, so the leader sequence is a
-pure function of the crash schedule — the chaos harness replays
-elections bit-identically from a seed.
-
-**Fencing.** Each grant increments a monotonic term; the leader stamps
-its term into every switch mutation (``expire_parked_for`` /
-``reinject``). The switch rejects stamps older than the register term,
-so a deposed leader — crashed-and-restarted, or partitioned past its
-lease — cannot clobber the new leader's reclaim decisions. A leader
-also *self-demotes* when its lease expires locally (:meth:`is_leader`):
-it stops acting before it even learns who replaced it.
-
-**State sync.** The leader journals assignment-mirror deltas (the
-:class:`~repro.ctrl.checkpoint.DeltaJournal` shape: bounded buffer,
-overflow forces a snapshot) and flushes them to followers as
-:class:`~repro.protocol.messages.ControllerSync` datagrams — periodic
-snapshots bound resync cost, sequence gaps trigger a snapshot wait.
 Followers build their *lease* tables first-hand from executor heartbeat
 broadcasts, so only the mirror and checkpoint metadata travel on sync.
 A follower that wins takeover therefore reclaims the dead leader's
@@ -39,122 +21,43 @@ election timeout (:meth:`ControllerGroup.election_timeout_bound`).
 
 from __future__ import annotations
 
-from enum import IntEnum
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
-from repro.errors import ConfigurationError
-from repro.protocol import codec
-from repro.protocol.codec import MAX_CTRL_OPS_PER_PACKET
-from repro.protocol.messages import (
-    ControllerSync,
-    CtrlOp,
-    ElectionAck,
-    ElectionRequest,
-)
 from repro.ctrl.controller import (
     DEFAULT_LEASE_NS,
     DEFAULT_SWEEP_NS,
     Controller,
     TaskKey,
 )
-from repro.sim.core import Interrupted, Simulator, us
-from repro.switchsim.election import ElectionRegister
+from repro.ctrl.replica_core import (
+    CtrlOpKind,
+    ReplicaCore,
+    ReplicaParams,
+    Snapshot,
+)
+from repro.errors import ConfigurationError
+from repro.protocol import codec
+from repro.protocol.messages import ControllerSync, CtrlOp, ElectionAck
+from repro.sim.core import Interrupted, Simulator
 
-__all__ = [
-    "DEFAULT_CTRL_LEASE_NS",
-    "DEFAULT_POLL_NS",
-    "DEFAULT_RENEW_MARGIN_NS",
-    "DEFAULT_SNAPSHOT_EVERY",
-    "DEFAULT_STAGGER_NS",
-    "DEFAULT_SYNC_INTERVAL_NS",
-    "ControllerGroup",
-    "CtrlJournal",
-    "CtrlOpKind",
-    "ElectionRegister",
-    "ReplicaController",
-]
-
-#: leadership lease granted by the switch per renewal
-DEFAULT_CTRL_LEASE_NS = us(600)
-#: the leader renews this long before its lease expires
-DEFAULT_RENEW_MARGIN_NS = us(200)
-#: follower candidacy poll period (bounds takeover detection)
-DEFAULT_POLL_NS = us(100)
-#: per-replica start offset breaking the t=0 candidacy tie
-DEFAULT_STAGGER_NS = us(5)
-#: leader->follower sync flush period
-DEFAULT_SYNC_INTERVAL_NS = us(200)
-#: every Nth flush is a full snapshot regardless of journal state
-DEFAULT_SNAPSHOT_EVERY = 8
-#: journal ops buffered between flushes before overflow forces a snapshot
-DEFAULT_JOURNAL_OPS = 256
+__all__ = ["ControllerGroup", "CtrlOpKind", "ReplicaController", "ReplicaParams"]
 
 
-class CtrlOpKind(IntEnum):
-    """Wire op kinds for :class:`~repro.protocol.messages.CtrlOp`.
-
-    LEASE/LEASE_EXPIRE exist for wire genericity (a live deployment may
-    sync leases instead of broadcasting heartbeats); the simulator
-    replicates only the assignment mirror and checkpoint metadata.
-    """
-
-    LEASE = 1
-    LEASE_EXPIRE = 2
-    ASSIGN = 3
-    COMPLETE = 4
-    PULL_RECLAIMED = 5
-    CKPT_META = 6
-
-
-class CtrlJournal:
-    """Bounded delta buffer between sync flushes (DeltaJournal shape).
-
-    Overflow does not drop ops silently: it marks the journal dirty and
-    the next flush ships a full snapshot instead of deltas.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_JOURNAL_OPS) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"journal capacity must be > 0: {capacity}")
-        self.capacity = capacity
-        self.ops: List[CtrlOp] = []
-        #: sim-only piggyback: task key -> queue entry for ASSIGN ops
-        self.entries: Dict[TaskKey, Any] = {}
-        self.overflowed = False
-        self.overflows = 0
-
-    def record(
-        self, op: CtrlOp, key: Optional[TaskKey] = None, entry: Any = None
-    ) -> None:
-        if len(self.ops) >= self.capacity:
-            self.overflowed = True
-            self.overflows += 1
-            return
-        self.ops.append(op)
-        if key is not None and entry is not None:
-            self.entries[key] = entry
-
-    def drain(self) -> Tuple[List[CtrlOp], Dict[TaskKey, Any], bool]:
-        ops, self.ops = self.ops, []
-        entries, self.entries = self.entries, {}
-        overflowed, self.overflowed = self.overflowed, False
-        return ops, entries, overflowed
-
-    def clear(self) -> None:
-        self.ops.clear()
-        self.entries.clear()
-        self.overflowed = False
+def _op(kind: CtrlOpKind, key: TaskKey, executor_id: int = 0) -> CtrlOp:
+    return CtrlOp(
+        kind=int(kind), executor_id=executor_id, a=key[0], b=key[1], c=key[2]
+    )
 
 
 class ReplicaController(Controller):
     """One replica of the replicated controller.
 
-    Extends the lease controller with an election loop (switch-arbitrated
-    leadership), term fencing on every switch mutation, and a sync loop
-    replicating the assignment mirror to peers. Exactly one replica acts
-    on the switch at a time; followers keep warm lease tables from the
-    executors' heartbeat broadcasts and a warm assignment mirror from
-    the leader's sync stream.
+    Extends the lease controller with an election process and a sync
+    process driving a :class:`ReplicaCore`, and term fencing on every
+    switch mutation. Exactly one replica acts on the switch at a time;
+    followers keep warm lease tables from the executors' heartbeat
+    broadcasts and a warm assignment mirror from the leader's sync
+    stream.
     """
 
     def __init__(
@@ -169,28 +72,9 @@ class ReplicaController(Controller):
         switch: Any = None,
         obs: Any = None,
         peers: Optional[Sequence[Any]] = None,
-        ctrl_lease_ns: int = DEFAULT_CTRL_LEASE_NS,
-        renew_margin_ns: int = DEFAULT_RENEW_MARGIN_NS,
-        poll_ns: int = DEFAULT_POLL_NS,
-        stagger_ns: int = DEFAULT_STAGGER_NS,
-        sync_interval_ns: int = DEFAULT_SYNC_INTERVAL_NS,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        journal_ops: int = DEFAULT_JOURNAL_OPS,
+        params: ReplicaParams = ReplicaParams(),
         checkpoints: Any = None,
     ) -> None:
-        if ctrl_lease_ns <= 0 or poll_ns <= 0 or sync_interval_ns <= 0:
-            raise ConfigurationError(
-                "ctrl_lease_ns, poll_ns and sync_interval_ns must be positive"
-            )
-        if renew_margin_ns <= 0 or renew_margin_ns >= ctrl_lease_ns:
-            raise ConfigurationError(
-                f"renew_margin_ns must be in (0, ctrl_lease_ns): "
-                f"{renew_margin_ns} vs {ctrl_lease_ns}"
-            )
-        if snapshot_every <= 0:
-            raise ConfigurationError(
-                f"snapshot_every must be positive: {snapshot_every}"
-            )
         # program=None on the base: only the elected leader may own
         # program.ctrl, so binding waits for the first election win.
         super().__init__(
@@ -204,147 +88,80 @@ class ReplicaController(Controller):
             obs=obs,
         )
         self.replica_id = replica_id
+        self.core = ReplicaCore(replica_id, params)
         self.program = program
         self.switch = switch
         self.switch_address = switch.service_address if switch else None
         self.peers: List[Any] = list(peers) if peers else []
         self.checkpoints = checkpoints
-        self.ctrl_lease_ns = ctrl_lease_ns
-        self.renew_margin_ns = renew_margin_ns
-        self.poll_ns = poll_ns
-        self.stagger_ns = stagger_ns
-        self.sync_interval_ns = sync_interval_ns
-        self.snapshot_every = snapshot_every
         if switch is not None:
             switch.add_install_hook(self._on_install)
-        # -- election state --
-        self._role = "follower"
-        self.term = 0  #: last term granted to *this* replica
-        self.known_term = 0  #: highest term seen in any ack/sync
-        self._leader_until = -1
-        self.elections_won = 0
-        self.step_downs = 0
-        # -- sync state (leader side) --
-        self._journal = CtrlJournal(journal_ops)
-        self._sync_seq = 0
-        self._flushes = 0
-        self._need_snapshot = True
         self.ckpt_meta = 0
-        self.sync_sent = 0
-        # -- sync state (follower side) --
-        self._sync_term = -1
-        self._sync_last_seq = 0
-        self._sync_gap = True  # wait for this term's first snapshot
-        self.sync_applied = 0
-        self.sync_gaps = 0
-        self._election_process = sim.spawn(
-            self._election_loop(), name=f"{name}-election"
+        self._spawn_loops()
+
+    def _spawn_loops(self) -> None:
+        self._election_process = self.sim.spawn(
+            self._election_loop(), name=f"{self.name}-election"
         )
-        self._sync_process = sim.spawn(
-            self._sync_loop(), name=f"{name}-sync"
+        self._sync_process = self.sim.spawn(
+            self._sync_loop(), name=f"{self.name}-sync"
         )
 
     # -- leadership ----------------------------------------------------------
 
     def is_leader(self) -> bool:
-        """Leader role *and* a live local lease.
-
-        The second clause is the self-demotion half of fencing: a
-        partitioned leader stops acting the instant its lease lapses
-        locally, before it ever hears about its successor.
-        """
-        return (
-            not self.crashed
-            and self._role == "leader"
-            and self.sim.now <= self._leader_until
-        )
+        return not self.crashed and self.core.is_leader(self.sim.now)
 
     def _term(self) -> Optional[int]:
-        return self.term
+        return self.core.term
 
     def _on_install(self, new_program: Any, old_program: Any) -> None:
         self.program = new_program
         if self.is_leader():
             new_program.ctrl = self
 
-    # -- election loop -------------------------------------------------------
-
     def _election_loop(self):
+        core = self.core
         try:
-            # Stagger the first candidacy: at t=0 all replicas race for
-            # term 1, and the offset makes replica 0 deterministically win.
-            yield self.sim.timeout(1 + self.replica_id * self.stagger_ns)
+            yield self.sim.timeout(core.first_request_delay_ns())
             while True:
-                self._send_election_request()
-                if self.is_leader():
-                    wait = self.ctrl_lease_ns - self.renew_margin_ns
-                else:
-                    wait = self.poll_ns
-                yield self.sim.timeout(wait)
+                request, wait_ns = core.election_request(self.sim.now)
+                if self.switch_address is not None:
+                    self.socket.send(
+                        self.switch_address, request, codec.wire_size(request)
+                    )
+                yield self.sim.timeout(wait_ns)
         except Interrupted:
             return
-
-    def _send_election_request(self) -> None:
-        if self.switch_address is None:
-            return
-        req = ElectionRequest(
-            candidate_id=self.replica_id,
-            term=self.term if self._role == "leader" else self.known_term,
-            lease_ns=self.ctrl_lease_ns,
-        )
-        self.socket.send(self.switch_address, req, codec.wire_size(req))
 
     def _on_election_ack(self, ack: ElectionAck) -> None:
         if self.crashed:
             return
-        if ack.term > self.known_term:
-            self.known_term = ack.term
-        if (
-            ack.granted
-            and ack.leader_id == self.replica_id
-            and ack.term >= self.term
-        ):
-            newly = self._role != "leader" or ack.term != self.term
-            self.term = ack.term
-            self._leader_until = ack.expires_at_ns
-            if newly:
-                self._become_leader()
-        elif (
-            self._role == "leader"
-            and ack.leader_id != self.replica_id
-            and ack.term >= self.term
-        ):
-            self._step_down()
+        outcome = self.core.on_ack(ack)
+        if outcome == "elected":
+            self._became_leader()
+        elif outcome == "deposed":
+            self._stepped_down()
 
-    def _become_leader(self) -> None:
-        self._role = "leader"
-        self.elections_won += 1
+    def _became_leader(self) -> None:
         if self.obs is not None:
             self.obs.incr("ctrl.elections_won")
-            self.obs.gauge("ctrl.term", self.term)
+            self.obs.gauge("ctrl.term", self.core.term)
             self.obs.emit(
                 self.sim.now,
                 "ctrl",
                 opcode="leader_elected",
-                detail=f"replica={self.replica_id} term={self.term}",
+                detail=f"replica={self.replica_id} term={self.core.term}",
             )
         if self.program is not None:
             self.program.ctrl = self
-        self._journal.clear()
-        self._sync_seq = 0
-        self._flushes = 0
-        self._need_snapshot = True
         self._takeover_reconcile()
 
-    def _step_down(self) -> None:
-        self._role = "follower"
-        self._leader_until = -1
-        self.step_downs += 1
+    def _stepped_down(self) -> None:
         # The new leader re-derives reclaim work from replicated state;
         # retrying here would be fenced anyway, and a backlog that can
         # never drain would trip the oracle's lease-safety check.
         self._reclaim_backlog.clear()
-        self._journal.clear()
         if self.obs is not None:
             self.obs.incr("ctrl.step_downs")
 
@@ -375,28 +192,14 @@ class ReplicaController(Controller):
             return
         super().note_assign(key, entry, executor_id)
         if self.is_leader():
-            self._journal.record(
-                CtrlOp(
-                    kind=int(CtrlOpKind.ASSIGN),
-                    executor_id=executor_id,
-                    a=key[0],
-                    b=key[1],
-                    c=key[2],
-                ),
-                key=key,
-                entry=entry,
-            )
+            self.core.record(_op(CtrlOpKind.ASSIGN, key, executor_id), key, entry)
 
     def note_complete(self, key: TaskKey) -> None:
         if self.crashed:
             return
         super().note_complete(key)
         if self.is_leader():
-            self._journal.record(
-                CtrlOp(
-                    kind=int(CtrlOpKind.COMPLETE), a=key[0], b=key[1], c=key[2]
-                )
-            )
+            self.core.record(_op(CtrlOpKind.COMPLETE, key))
 
     def _reclaim(self, executor_ids: Set[int]) -> None:
         orphaned = [
@@ -410,14 +213,7 @@ class ReplicaController(Controller):
             # over does not re-inject tasks this incarnation already
             # reclaimed (double execution is counted, but why invite it).
             for key in orphaned:
-                self._journal.record(
-                    CtrlOp(
-                        kind=int(CtrlOpKind.PULL_RECLAIMED),
-                        a=key[0],
-                        b=key[1],
-                        c=key[2],
-                    )
-                )
+                self.core.record(_op(CtrlOpKind.PULL_RECLAIMED, key))
 
     def _sweep(self) -> None:
         if self.is_leader():
@@ -459,110 +255,48 @@ class ReplicaController(Controller):
     def _sync_loop(self):
         try:
             while True:
-                yield self.sim.timeout(self.sync_interval_ns)
+                yield self.sim.timeout(self.core.params.sync_interval_ns)
                 if self.is_leader() and self.peers:
                     self._flush_sync()
         except Interrupted:
             return
 
-    def _flush_sync(self) -> None:
-        ops, entries, overflowed = self._journal.drain()
-        self._flushes += 1
-        snapshot = (
-            self._need_snapshot
-            or overflowed
-            or self._flushes % self.snapshot_every == 0
+    def _mirror_snapshot(self) -> Snapshot:
+        inflight = self._inflight.items()
+        return (
+            [_op(CtrlOpKind.ASSIGN, key, eid) for key, (eid, _) in inflight],
+            {key: entry for key, (_eid, entry) in inflight},
         )
+
+    def _flush_sync(self) -> None:
         if self.checkpoints is not None:
             self.ckpt_meta = int(self.checkpoints.stats.checkpoints_taken)
-        if snapshot:
-            self._need_snapshot = False
-            ops = [
-                CtrlOp(
-                    kind=int(CtrlOpKind.ASSIGN),
-                    executor_id=eid,
-                    a=key[0],
-                    b=key[1],
-                    c=key[2],
-                )
-                for key, (eid, _entry) in self._inflight.items()
-            ]
-            entries = {
-                key: entry for key, (_eid, entry) in self._inflight.items()
-            }
-        ops.append(CtrlOp(kind=int(CtrlOpKind.CKPT_META), d=self.ckpt_meta))
-        self._send_sync(ops, entries, snapshot)
-
-    def _send_sync(
-        self, ops: List[CtrlOp], entries: Dict[TaskKey, Any], snapshot: bool
-    ) -> None:
-        chunks = [
-            ops[i : i + MAX_CTRL_OPS_PER_PACKET]
-            for i in range(0, len(ops), MAX_CTRL_OPS_PER_PACKET)
-        ] or [[]]
-        first = True
-        for chunk in chunks:
-            self._sync_seq += 1
-            piggyback = {
-                (op.a, op.b, op.c): entries[(op.a, op.b, op.c)]
-                for op in chunk
-                if op.kind == int(CtrlOpKind.ASSIGN)
-                and (op.a, op.b, op.c) in entries
-            }
-            msg = ControllerSync(
-                leader_id=self.replica_id,
-                term=self.term,
-                seq=self._sync_seq,
-                snapshot=snapshot and first,
-                ops=list(chunk),
-                entries=piggyback or None,
-            )
-            first = False
+        meta = CtrlOp(kind=int(CtrlOpKind.CKPT_META), d=self.ckpt_meta)
+        for msg in self.core.flush(self._mirror_snapshot, meta):
             for peer in self.peers:
                 self.socket.send(peer, msg, codec.wire_size(msg))
-                self.sync_sent += 1
 
     def _on_sync(self, msg: ControllerSync) -> None:
-        if self.crashed or msg.leader_id == self.replica_id:
+        if self.crashed:
             return
-        if msg.term < self.known_term:
-            return  # stale stream from a deposed leader
-        if msg.term > self.known_term:
-            self.known_term = msg.term
-        if self._role == "leader" and msg.term > self.term:
-            self._step_down()
-        if msg.term != self._sync_term:
-            # New leader: wait for its first snapshot before applying
-            # deltas — applying a delta over the old mirror would merge
-            # two incarnations' state.
-            self._sync_term = msg.term
-            self._sync_last_seq = 0
-            self._sync_gap = True
+        deposed, apply = self.core.on_sync(msg)
+        if deposed:
+            self._stepped_down()
+        if not apply:
+            return
         if msg.snapshot:
             self._inflight.clear()
-            self._sync_gap = False
-        elif self._sync_gap:
-            return
-        elif msg.seq != self._sync_last_seq + 1:
-            self._sync_gap = True
-            self.sync_gaps += 1
-            return
-        self._sync_last_seq = msg.seq
         entries = msg.entries or {}
         for op in msg.ops:
             key = (op.a, op.b, op.c)
-            if op.kind == int(CtrlOpKind.ASSIGN):
+            if op.kind == CtrlOpKind.ASSIGN:
                 entry = entries.get(key)
                 if entry is not None:
                     self._inflight[key] = (op.executor_id, entry)
-            elif op.kind in (
-                int(CtrlOpKind.COMPLETE),
-                int(CtrlOpKind.PULL_RECLAIMED),
-            ):
+            elif op.kind in (CtrlOpKind.COMPLETE, CtrlOpKind.PULL_RECLAIMED):
                 self._inflight.pop(key, None)
-            elif op.kind == int(CtrlOpKind.CKPT_META):
+            elif op.kind == CtrlOpKind.CKPT_META:
                 self.ckpt_meta = op.d
-        self.sync_applied += 1
 
     # -- fail-stop -----------------------------------------------------------
 
@@ -570,54 +304,16 @@ class ReplicaController(Controller):
         if self.crashed:
             return
         super().crash()
-        if not self._election_process.triggered:
-            self._election_process.interrupt("controller crash")
-        if not self._sync_process.triggered:
-            self._sync_process.interrupt("controller crash")
-        self._role = "follower"
-        self.term = 0
-        self.known_term = 0
-        self._leader_until = -1
-        self._journal.clear()
-        self._sync_seq = 0
-        self._flushes = 0
-        self._need_snapshot = True
-        self._sync_term = -1
-        self._sync_last_seq = 0
-        self._sync_gap = True
+        for process in (self._election_process, self._sync_process):
+            if not process.triggered:
+                process.interrupt("controller crash")
+        self.core.reset()
 
     def restart(self) -> None:
         if not self.crashed:
             return
         super().restart()
-        self._election_process = self.sim.spawn(
-            self._election_loop(), name=f"{self.name}-election"
-        )
-        self._sync_process = self.sim.spawn(
-            self._sync_loop(), name=f"{self.name}-sync"
-        )
-
-    # -- inspection ----------------------------------------------------------
-
-    def audit(self) -> Dict[str, Any]:
-        report = super().audit()
-        report.update(
-            {
-                "replica_id": self.replica_id,
-                "role": self._role,
-                "is_leader": self.is_leader(),
-                "term": self.term,
-                "known_term": self.known_term,
-                "elections_won": self.elections_won,
-                "step_downs": self.step_downs,
-                "sync_sent": self.sync_sent,
-                "sync_applied": self.sync_applied,
-                "sync_gaps": self.sync_gaps,
-                "journal_overflows": self._journal.overflows,
-                "ckpt_meta": self.ckpt_meta,
-            }
-        )
-        return report
+        self._spawn_loops()
 
 
 class ControllerGroup:
@@ -626,7 +322,7 @@ class ControllerGroup:
     Builds ``ctrl0..ctrlN-1`` as topology hosts, cross-wires their peer
     addresses, and exposes the fault-injection surface
     (:meth:`crash`/:meth:`restart` by replica id) and the oracle surface
-    (:meth:`leader`, :meth:`audit`, :meth:`stats`).
+    (:meth:`leader`, :meth:`stats`).
     """
 
     def __init__(
@@ -640,17 +336,13 @@ class ControllerGroup:
         sweep_ns: int = DEFAULT_SWEEP_NS,
         obs: Any = None,
         checkpoints: Any = None,
-        ctrl_lease_ns: int = DEFAULT_CTRL_LEASE_NS,
-        renew_margin_ns: int = DEFAULT_RENEW_MARGIN_NS,
-        poll_ns: int = DEFAULT_POLL_NS,
-        stagger_ns: int = DEFAULT_STAGGER_NS,
-        sync_interval_ns: int = DEFAULT_SYNC_INTERVAL_NS,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
+        params: ReplicaParams = ReplicaParams(),
     ) -> None:
         if replicas < 1:
             raise ConfigurationError(f"need at least one replica: {replicas}")
         self.sim = sim
         self.switch = switch
+        self.params = params
         self.replicas: List[ReplicaController] = [
             ReplicaController(
                 sim,
@@ -662,12 +354,7 @@ class ControllerGroup:
                 program=program,
                 switch=switch,
                 obs=obs,
-                ctrl_lease_ns=ctrl_lease_ns,
-                renew_margin_ns=renew_margin_ns,
-                poll_ns=poll_ns,
-                stagger_ns=stagger_ns,
-                sync_interval_ns=sync_interval_ns,
-                snapshot_every=snapshot_every,
+                params=params,
                 checkpoints=checkpoints,
             )
             for i in range(replicas)
@@ -676,14 +363,8 @@ class ControllerGroup:
         for r in self.replicas:
             r.peers = [a for a in addrs if a != r.address]
 
-    def __len__(self) -> int:
-        return len(self.replicas)
-
     def addresses(self) -> List[Any]:
         return [r.address for r in self.replicas]
-
-    def names(self) -> List[str]:
-        return [r.name for r in self.replicas]
 
     def leader(self) -> Optional[ReplicaController]:
         """The replica holding a live switch lease right now, if any."""
@@ -711,22 +392,7 @@ class ControllerGroup:
         processing. The controller_ha experiment asserts reclamation
         resumes within this bound.
         """
-        some = self.replicas[0]
-        return some.ctrl_lease_ns + 2 * some.poll_ns
-
-    def audit(self) -> Dict[str, Any]:
-        """Leader's audit if one is live, else a group-level summary."""
-        leader = self.leader()
-        if leader is not None:
-            return leader.audit()
-        return {
-            "leases": {},
-            "stale_leases": [],
-            "inflight": 0,
-            "reclaim_backlog": 0,
-            "is_leader": False,
-            "role": "none",
-        }
+        return self.params.lease_ns + 2 * self.params.poll_ns
 
     def stats(self) -> Dict[str, Any]:
         """Group health rollup for experiment summary rows."""
@@ -736,12 +402,9 @@ class ControllerGroup:
         sched_stats = getattr(program, "sched_stats", None)
         if sched_stats is not None:
             fencing = getattr(sched_stats, "fencing_rejections", 0)
-        leader = self.leader()
         return {
-            "replicas": len(self.replicas),
             "elections_held": election.elections_held if election else 0,
             "term": election.term if election else 0,
-            "leader_id": leader.replica_id if leader else None,
             "fencing_rejections": fencing,
             "leases_reclaimed": sum(
                 r.stats.pulls_reclaimed for r in self.replicas
@@ -749,8 +412,5 @@ class ControllerGroup:
             "tasks_reclaimed": sum(
                 r.stats.tasks_reclaimed for r in self.replicas
             ),
-            "reclaim_backlog": sum(
-                len(r._reclaim_backlog) for r in self.replicas
-            ),
-            "step_downs": sum(r.step_downs for r in self.replicas),
+            "step_downs": sum(r.core.step_downs for r in self.replicas),
         }

@@ -449,7 +449,9 @@ def build_cluster(
         timeout_factor=config.timeout_factor,
     )
     if config.tasks_per_packet is not None:
-        client_config.max_tasks_per_packet = config.tasks_per_packet
+        client_config = replace(
+            client_config, max_tasks_per_packet=config.tasks_per_packet
+        )
     for i, workload in enumerate(workloads):
         host = topology.add_host(f"client{i}")
         if config.scheduler == "sparrow":

@@ -32,7 +32,7 @@ from repro.live.chaos import (
     run_live_chaos,
     sample_scenario,
 )
-from repro.live.client import LiveClient, LiveClientConfig
+from repro.live.client import LiveClient
 from repro.live.executor import LiveExecutor, LiveExecutorConfig
 from repro.live.loadgen import ClosedLoopGen, OpenLoopGen
 from repro.live.results import LiveResult
@@ -45,7 +45,6 @@ __all__ = [
     "ChaosTransport",
     "ClosedLoopGen",
     "LiveClient",
-    "LiveClientConfig",
     "LiveExecutor",
     "LiveExecutorConfig",
     "LiveResult",

@@ -248,9 +248,10 @@ class UdpPort:
 
 
 class SwitchPeer:
-    """Lifecycle shared by the components on a connected port (executor,
-    client): one transport, one set of tracked timers and tasks, and a
-    teardown that leaves neither behind on the loop."""
+    """Lifecycle shared by the components that talk to the switch over
+    one port (executor and client connected, controller replica bound):
+    one transport, one set of tracked timers and tasks, and a teardown
+    that leaves neither behind on the loop."""
 
     def __init__(self, clock: Any, transport_wrap: Optional[Callable]) -> None:
         self.clock = clock

@@ -39,11 +39,12 @@ is the one thing that cannot (see DESIGN.md §9.4).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.client_core import LIVE_CLIENT_CONFIG
 from repro.ctrl.checkpoint import CheckpointManager
 from repro.faults.events import (
     ControllerCrash,
@@ -57,7 +58,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.links import Degradation, decide, degradation_for, fuzz_parser
 from repro.faults.plan import LIVE_GRAMMAR, FaultPlan, sample_ctrl_faults
 from repro.live.base import Counters, Endpoint, WallTimers
-from repro.live.client import LiveClientConfig
 from repro.live.ctrlplane import LiveControllerReplica, ctrl_name
 from repro.live.loadgen import OpenLoopGen
 from repro.live.runtime import (
@@ -489,8 +489,9 @@ async def run_live_chaos_async(
     cluster = LiveCluster(
         spec,
         rngs,
-        client_config=LiveClientConfig(
-            resubmit_timeout_s=scenario.resubmit_timeout_s,
+        client_config=replace(
+            LIVE_CLIENT_CONFIG,
+            timeout_floor_ns=int(scenario.resubmit_timeout_s * 1e9),
             max_retries=scenario.max_retries,
         ),
     )
@@ -514,7 +515,7 @@ async def run_live_chaos_async(
         replica.peer_resolver = lambda: [
             r.endpoint
             for r in controllers.values()
-            if not r.closed and r._endpoint is not None
+            if not r.closed and r.endpoint is not None
         ]
         return replica
 

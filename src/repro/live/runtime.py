@@ -16,10 +16,11 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.cluster.client_core import ClientConfig
 from repro.core.policies import Policy, PriorityPolicy
 from repro.errors import ConfigurationError, LiveTimeoutError
 from repro.experiments.common import ClusterConfig
-from repro.live.client import LiveClient, LiveClientConfig
+from repro.live.client import LiveClient
 from repro.live.executor import LiveExecutor, LiveExecutorConfig
 from repro.live.loadgen import ClosedLoopGen, OpenLoopGen
 from repro.live.results import LiveResult
@@ -159,7 +160,7 @@ class LiveCluster:
         self,
         spec: LiveSpec,
         rngs: RngStreams,
-        client_config: Optional[LiveClientConfig] = None,
+        client_config: Optional[ClientConfig] = None,
     ) -> None:
         spec.validate()
         self.spec = spec
@@ -262,7 +263,7 @@ class LiveCluster:
             lines.append(
                 f"client: pending={client.pending_count}"
                 f" done={client.completed_count}"
-                f" gave_up={client.gave_up_count} {dict(client.counters)}"
+                f" gave_up={len(client.gave_up_keys())} {dict(client.counters)}"
             )
         return "\n".join(lines)
 

@@ -13,7 +13,6 @@ Sub-modules:
 * :mod:`repro.obs.spans` — per-task causal chains and the bounded store;
 * :mod:`repro.obs.hdr` — log-bucketed latency histograms;
 * :mod:`repro.obs.profile` — simulator wall-clock self-profiling;
-* :mod:`repro.obs.bench` — the pinned-seed perf bench (``BENCH_sched.json``);
 * :mod:`repro.obs.report` — ``python -m repro.obs.report`` timeline CLI.
 """
 

@@ -237,7 +237,7 @@ class TestBounceBackoff:
         from repro.protocol.messages import ErrorPacket, TaskInfo
 
         for tid in tids:
-            client._outstanding[(0, 0, tid)] = TaskSpec(duration_ns=us(100))
+            client.core.outstanding[(0, 0, tid)] = TaskInfo(tid=tid)
         return ErrorPacket(
             uid=0,
             jid=0,
@@ -253,22 +253,22 @@ class TestBounceBackoff:
             bounce_jitter=0.0,
         )
         error = self._error(client, [0])
-        assert client._bounce_delay_ns(error) == us(50)
-        client._retries[(0, 0, 0)] = 2
-        assert client._bounce_delay_ns(error) == us(200)
-        client._retries[(0, 0, 0)] = 10  # far past the cap
-        assert client._bounce_delay_ns(error) == us(400)
+        assert client.core.bounce_delay_ns(error) == us(50)
+        client.core.retries[(0, 0, 0)] = 2
+        assert client.core.bounce_delay_ns(error) == us(200)
+        client.core.retries[(0, 0, 0)] = 10  # far past the cap
+        assert client.core.bounce_delay_ns(error) == us(400)
 
     def test_bounce_delay_honours_backpressure_hint(self):
         client = self._client(bounce_retry_ns=us(50), bounce_jitter=0.0)
         error = self._error(client, [0], hint_ns=us(900))
         # degraded-mode hint overrides the (smaller) local backoff
-        assert client._bounce_delay_ns(error) == us(900)
+        assert client.core.bounce_delay_ns(error) == us(900)
 
     def test_bounce_delay_jitter_desynchronizes(self):
         client = self._client(bounce_retry_ns=us(50), bounce_jitter=0.2)
         error = self._error(client, [0])
-        delays = {client._bounce_delay_ns(error) for _ in range(32)}
+        delays = {client.core.bounce_delay_ns(error) for _ in range(32)}
         assert len(delays) > 1  # not a fixed wait
         assert all(us(40) <= d <= us(60) for d in delays)
 
@@ -286,7 +286,7 @@ class TestBounceBackoff:
         sim.run(until=ms(40))
         assert client.stats.tasks_completed == 32
         assert client.stats.bounces > 0
-        assert client._retries == {}
+        assert client.core.retries == {}
 
     def test_bounce_budget_exhaustion_gives_up_visibly(self):
         """With a zero retry budget every bounced task is abandoned and

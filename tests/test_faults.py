@@ -606,7 +606,7 @@ class TestClientHardening:
         assert cluster.client.stats.tasks_completed == cluster.tasks
         # Lazy discard: once every task completed and the last deadline
         # passed, no stale entries linger.
-        assert cluster.client._timeout_heap == []
+        assert cluster.client.core.deadlines == []
         assert cluster.client.stats.timeouts == 0
 
     def test_crashed_executor_mid_task_does_not_lose_the_task(self):

@@ -14,16 +14,18 @@ Two layers, matching how the subsystem can fail:
 
 import asyncio
 import socket
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.cluster.client_core import LIVE_CLIENT_CONFIG
 from repro.cluster.task import TaskSpec
 from repro.errors import ConfigurationError
 from repro.experiments import persist
 from repro.live import results as live_results
 from repro.live.base import RECV_BUDGET, Counters, UdpPort, WallClock
-from repro.live.client import LiveClient, LiveClientConfig
+from repro.live.client import LiveClient
 from repro.live.results import LiveResult
 from repro.live.runtime import LiveSpec, run_live
 from repro.live.softswitch import CREDIT_RESYNC_NS, SoftSwitch
@@ -379,18 +381,15 @@ class TestLiveSpec:
 class TestBounceJitter:
     """Bounce-retry backoff jitter draws from the seeded RNG stream."""
 
-    def bounce_delays(self, seed, bounces=6):
-        client = LiveClient(
-            uid=1,
-            config=LiveClientConfig(
-                bounce_retry_s=0.001, bounce_jitter=0.2, max_retries=100
-            ),
-            rng=np.random.default_rng(seed),
-        )
+    def bounce_delays(self, bounces, **kw):
+        client = LiveClient(uid=1, **kw)
         delays = []
-        client._timers.call_later = lambda delay_s, fn, *args: delays.append(
-            delay_s
-        )
+
+        def fire_at_once(delay_s, fn, *args):
+            delays.append(delay_s)
+            fn(*args)  # the re-send is what counts a retry
+
+        client._timers.call_later = fire_at_once
         jid = client.submit([TaskSpec(duration_ns=1_000)])
         for _ in range(bounces):
             client._on_bounce(
@@ -398,29 +397,24 @@ class TestBounceJitter:
             )
         return delays
 
+    def jittered(self, seed):
+        return self.bounce_delays(
+            6,
+            config=replace(LIVE_CLIENT_CONFIG, bounce_jitter=0.2, max_retries=100),
+            rng=np.random.default_rng(seed),
+        )
+
     def test_same_seed_same_schedule(self):
-        assert self.bounce_delays(7) == self.bounce_delays(7)
-        assert self.bounce_delays(7) != self.bounce_delays(8)
+        assert self.jittered(7) == self.jittered(7)
+        assert self.jittered(7) != self.jittered(8)
 
     def test_jitter_bounded_around_exponential(self):
-        for retries, delay in enumerate(self.bounce_delays(7), start=1):
-            base = 0.001 * (1 << (retries - 1))
+        for retries, delay in enumerate(self.jittered(7)):
+            base = 0.001 * (1 << retries)
             assert base * 0.8 <= delay <= base * 1.2
 
     def test_no_rng_means_no_jitter(self):
-        client = LiveClient(
-            uid=1, config=LiveClientConfig(bounce_retry_s=0.001)
-        )
-        delays = []
-        client._timers.call_later = lambda delay_s, fn, *args: delays.append(
-            delay_s
-        )
-        jid = client.submit([TaskSpec(duration_ns=1_000)])
-        for _ in range(3):
-            client._on_bounce(
-                ErrorPacket(uid=1, jid=jid, tasks=[TaskInfo(tid=0)])
-            )
-        assert delays == [0.001, 0.002, 0.004]
+        assert self.bounce_delays(3) == [0.001, 0.002, 0.004]
 
 
 class TestUdpPort:
@@ -669,7 +663,7 @@ def test_teardown_leaves_no_pending_tasks():
         endpoint = await switch.start()
         executor = LiveExecutor(executor_id=1, switch=endpoint)
         client = LiveClient(
-            uid=0, config=LiveClientConfig(resubmit_timeout_s=0.05)
+            uid=0, config=replace(LIVE_CLIENT_CONFIG, timeout_floor_ns=50_000_000)
         )
         await executor.start()
         await executor.wait_registered(2.0)

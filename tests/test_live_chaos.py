@@ -259,12 +259,11 @@ class StubSwitch:
 
 
 class StubClient:
-    def __init__(self, submitted=0, done=0, gave_up=0, pending=(), phantoms=0):
+    def __init__(self, submitted=0, done=0, pending=(), phantoms=0):
         self.uid = 0
         self.counters = {"phantoms": phantoms}
         self.tasks_submitted = submitted
         self.completed_count = done
-        self.gave_up_count = gave_up
         self._pending = set(pending)
 
     @property

@@ -1,6 +1,5 @@
 """Tests for the repro.obs observability subsystem."""
 
-import json
 
 import pytest
 
@@ -271,37 +270,6 @@ class TestTracerShim:
         switch.obs = bus
         tracer = SwitchTracer(switch)
         assert tracer.bus is bus  # reuses, does not replace
-
-
-class TestBench:
-    def test_bench_compare_flags_regression(self):
-        from repro.obs import bench
-
-        current = {"events_per_sec": 50_000}
-        baseline = {"events_per_sec": 100_000}
-        assert bench.compare(current, baseline, threshold=0.30)
-        assert not bench.compare(baseline, baseline, threshold=0.30)
-        # speedups never fail
-        assert not bench.compare(baseline, current, threshold=0.30)
-
-    def test_bench_json_schema(self, tmp_path):
-        from repro.obs import bench
-
-        out = tmp_path / "BENCH_sched.json"
-        code = bench.main(["--scale", "smoke", "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == bench.SCHEMA
-        assert doc["events_per_sec"] > 0
-        assert len(doc["cases"]) == len(bench.CASES)
-        for case in doc["cases"]:
-            assert case["events"] > 0
-            assert case["sched_delay"]["p999_us"] >= case["sched_delay"]["p50_us"]
-        # second run picks the first up as baseline; same pinned seed, so
-        # event counts match and --check passes
-        code = bench.main(["--scale", "smoke", "--out", str(out), "--check"])
-        assert code == 0
-        assert json.loads(out.read_text())["total_events"] == doc["total_events"]
 
 
 class TestReport:

@@ -266,72 +266,72 @@ def make_fake_replica(replica_id: int = 0, clock=None):
         switch=("127.0.0.1", 1),
         clock=clock if clock is not None else FakeClock(),
     )
-    replica._endpoint = ("127.0.0.1", 100 + replica_id)
+    replica.endpoint = ("127.0.0.1", 100 + replica_id)
     replica._transport = None  # _send becomes a no-op
-    return replica
+    return replica, replica.core
 
 
 class TestLiveReplicaStateMachine:
     def test_granted_ack_makes_leader(self):
-        replica = make_fake_replica()
-        replica._on_ack(
+        replica, core = make_fake_replica()
+        core.on_ack(
             ElectionAck(leader_id=0, term=1, granted=True, expires_at_ns=50)
         )
-        assert replica.role == "leader"
-        assert replica.term == 1 and replica.is_leader()
+        assert core.role == "leader"
+        assert core.term == 1 and replica.is_leader()
 
     def test_denial_with_newer_term_steps_down(self):
-        replica = make_fake_replica()
-        replica._on_ack(
+        replica, core = make_fake_replica()
+        core.on_ack(
             ElectionAck(leader_id=0, term=1, granted=True, expires_at_ns=50)
         )
-        replica._on_ack(
+        core.on_ack(
             ElectionAck(leader_id=2, term=2, granted=False, expires_at_ns=90)
         )
-        assert replica.role == "follower"
-        assert replica.step_downs == 1
-        assert replica.known_term == 2
+        assert core.role == "follower"
+        assert core.step_downs == 1
+        assert core.known_term == 2
 
     def test_lease_lapse_self_demotes(self):
-        replica = make_fake_replica()
-        replica._on_ack(
+        replica, core = make_fake_replica()
+        core.on_ack(
             ElectionAck(leader_id=0, term=1, granted=True, expires_at_ns=50)
         )
         replica.clock.now = 51
         assert not replica.is_leader()
 
     def test_sync_snapshot_then_gap_detection(self):
-        replica = make_fake_replica(replica_id=2)
+        replica, core = make_fake_replica(replica_id=2)
         meta = CtrlOp(kind=6, a=1, b=1, d=3)  # CKPT_META
         replica._on_sync(
             ControllerSync(
                 leader_id=0, term=1, seq=1, snapshot=True, ops=[meta]
             )
         )
-        assert replica.sync_applied == 1 and replica.sync_gaps == 0
+        assert core.sync_applied == 1 and core.sync_gaps == 0
         assert replica.ckpt_meta["flushes"] == 3
         replica._on_sync(
             ControllerSync(leader_id=0, term=1, seq=4, ops=[meta])
         )
-        assert replica.sync_gaps == 1  # seq jumped 1 -> 4
+        assert core.sync_gaps == 1  # seq jumped 1 -> 4
 
     def test_stale_term_sync_is_dropped(self):
-        replica = make_fake_replica(replica_id=2)
+        replica, core = make_fake_replica(replica_id=2)
         replica._on_sync(ControllerSync(leader_id=1, term=3, seq=1,
                                         snapshot=True, ops=[]))
-        before = replica.sync_applied
+        before = core.sync_applied
         replica._on_sync(ControllerSync(leader_id=0, term=2, seq=1, ops=[]))
-        assert replica.sync_applied == before
-        assert replica.counters.get("stale_sync_dropped", 0) == 1
+        assert core.sync_applied == before
+        assert core.sync_stale == 1
 
     def test_leader_steps_down_on_higher_term_sync(self):
-        replica = make_fake_replica()
-        replica._on_ack(
+        replica, core = make_fake_replica()
+        core.on_ack(
             ElectionAck(leader_id=0, term=1, granted=True, expires_at_ns=50)
         )
         replica._on_sync(ControllerSync(leader_id=1, term=2, seq=1,
                                         snapshot=True, ops=[]))
-        assert replica.role == "follower" and replica.step_downs == 1
+        assert core.role == "follower" and core.step_downs == 1
 
 
 # -- purity: election outcome is a function of its inputs -------------------
@@ -394,10 +394,10 @@ class TestElectionPurity:
     @settings(max_examples=100)
     def test_live_replica_is_a_pure_function_of_the_ack_script(self, acks):
         def replay():
-            replica = make_fake_replica(replica_id=0)
+            replica, core = make_fake_replica(replica_id=0)
             trace = []
             for leader_id, term, granted, expires in acks:
-                replica._on_ack(
+                core.on_ack(
                     ElectionAck(
                         leader_id=leader_id,
                         term=term,
@@ -406,8 +406,8 @@ class TestElectionPurity:
                     )
                 )
                 trace.append(
-                    (replica.role, replica.term, replica.known_term,
-                     replica.step_downs, replica.elections_won)
+                    (core.role, core.term, core.known_term,
+                     core.step_downs, core.elections_won)
                 )
             return trace
 

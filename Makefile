@@ -36,8 +36,10 @@ loc:
 coverage:
 	$(PY) -m pytest -q --cov=repro --cov-report=term-missing --cov-fail-under=80
 
+# Every figure of the evaluation table at bench scale: each shape
+# predicate's signed margin, exit 1 if one fails (the CI figures job).
 bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
+	$(PY) -m repro.experiments.figures --scale bench --check
 
 # The repo benchmark's traced pass for one BENCHMARK.json workload: the
 # per-layer cost table, e.g. `make perf W=live_closed_noop`.

@@ -1,4 +1,4 @@
-"""CI gates built on the repo benchmark (``benchmarks/perf/run.py``, unedited).
+"""CI gates on the repo benchmark (``benchmarks/perf/run.py``, unedited) and the figure table.
 
     python3 benchmarks/ci.py determinism
         the three sim_* workloads, traced, twice at one seed: what the
@@ -10,6 +10,11 @@
         end-to-end metric's median is worse than the parent's by more than
         its BENCHMARK.json bound (and the parent's own runs agree to within
         that bound), or an operation failed
+    python3 benchmarks/ci.py rows --parent ../parent-checkout
+        every figure of the evaluation table at smoke scale
+        (``repro.experiments.figures --json``) on both checkouts, diffed row
+        by row: floats compared exactly, wall-time fields excluded; names
+        every figure, row and column that moved
 
 ``--summary FILE`` appends the markdown table (``$GITHUB_STEP_SUMMARY``).
 """
@@ -18,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import List
 
@@ -97,15 +104,51 @@ def pairs(args) -> List[str]:
     return lines + ([f"**outside the bounds: {'; '.join(bad)}**"] if bad else [])
 
 
+#: fields that measure the host, not the simulation
+WALL = ("wall_s",)
+
+
+def figure_rows(checkout: Path) -> dict:
+    """figure name -> rows, from the figure table run in ``checkout``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "rows.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro.experiments.figures", "--scale", "smoke", "--json", str(out)],
+            cwd=checkout, check=True, stdout=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        )
+        return {name: fig["rows"] for name, fig in json.loads(out.read_text())["figures"].items()}
+
+
+def rows(args) -> List[str]:
+    parent = Path(args.parent).resolve()
+    before, after = figure_rows(parent), figure_rows(ROOT)
+    lines, moved = ["| figure | rows (parent) | rows (change) | moved cells |", "|---|---:|---:|---:|"], []
+    for name in dict.fromkeys([*before, *after]):
+        old, new = before.get(name, []), after.get(name, [])
+        cells = [] if name in before and name in after else [f"{name}: only in one checkout"]
+        if len(old) != len(new):
+            cells.append(f"{name}: {len(old)} rows -> {len(new)}")
+        for index, (a, b) in enumerate(zip(old, new)):
+            label = " ".join(f"{k}={v}" for k, v in list(a.items())[:2])
+            for col in dict.fromkeys([*a, *b]):
+                if col not in WALL and json.dumps(a.get(col)) != json.dumps(b.get(col)):
+                    cells.append(f"{name} row {index} ({label}): {col} {a.get(col)!r} -> {b.get(col)!r}")
+        lines.append(f"| {name} | {len(old)} | {len(new)} | {len(cells)} |")
+        moved += cells
+    return lines + [f"- {cell}" for cell in moved] + (
+        [f"**rows moved: {len(moved)} cells**"] if moved else [])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("gate", choices=("determinism", "pairs"))
-    parser.add_argument("--parent", help="checkout of the parent commit (pairs)")
+    parser.add_argument("gate", choices=("determinism", "pairs", "rows"))
+    parser.add_argument("--parent", help="checkout of the parent commit (pairs, rows)")
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=3.0)
     parser.add_argument("--summary", help="file to append the markdown table to")
     args = parser.parse_args()
-    lines = determinism(args) if args.gate == "determinism" else pairs(args)
+    lines = {"determinism": determinism, "pairs": pairs, "rows": rows}[args.gate](args)
     print("\n".join(lines))
     if args.summary:
         with open(args.summary, "a") as handle:

@@ -2,7 +2,8 @@
 
 One place to discover and launch every runnable module in the tree —
 figure reproductions, the fuzzer, the live runtime — instead of
-memorizing ``python -m repro.experiments.fig5b_throughput`` paths.
+memorizing module paths. Every figure command (``fig5a``, ``resources``, ...)
+runs that figure of :mod:`repro.experiments.figures`.
 ``python -m repro`` (or ``python -m repro list``) prints the table;
 anything after the command name is passed through untouched.
 """
@@ -13,6 +14,8 @@ import runpy
 import sys
 from typing import Optional, Sequence
 
+FIGURES = "repro.experiments.figures"
+
 #: command -> (module, one-line description). Figures are addressed by
 #: their paper number; everything else by subsystem.
 COMMANDS = {
@@ -20,26 +23,24 @@ COMMANDS = {
         "repro.experiments.run_all",
         "every figure experiment back to back",
     ),
-    "fig5a": ("repro.experiments.fig5a_latency", "scheduling latency vs load"),
-    "fig5b": ("repro.experiments.fig5b_throughput", "scheduling throughput"),
-    "fig6": ("repro.experiments.fig6_synthetic", "synthetic workload latency"),
-    "fig7": ("repro.experiments.fig7_recirculation", "recirculation ablation"),
-    "fig8": ("repro.experiments.fig8_jbsq", "JBSQ(k) dispatch bound sweep"),
-    "fig9": ("repro.experiments.fig9_google", "google-trace workload"),
-    "fig10": ("repro.experiments.fig10_locality", "locality placement"),
-    "fig11": ("repro.experiments.fig11_resources", "resource-aware policy"),
-    "fig12": ("repro.experiments.fig12_priority", "priority policy"),
-    "fig13": ("repro.experiments.fig13_gettask", "GetTask retrieve modes"),
-    "ablation-retrieve": (
-        "repro.experiments.ablation_retrieve",
-        "conditional vs delayed retrieve (§4.5)",
-    ),
-    "scalability": ("repro.experiments.scalability", "cluster-size sweep"),
-    "rtt": ("repro.experiments.rtt_sensitivity", "RTT sensitivity sweep"),
-    "resources": (
-        "repro.experiments.table_switch_resources",
-        "switch resource table",
-    ),
+    "figures": (FIGURES, "every figure at one scale (--check, --json PATH)"),
+    "fig5a": (FIGURES, "scheduling latency vs load"),
+    "fig5b": (FIGURES, "scheduling throughput"),
+    "fig6": (FIGURES, "synthetic workload latency"),
+    "fig7": (FIGURES, "recirculation and drops"),
+    "fig8": (FIGURES, "JBSQ(k) dispatch bound sweep"),
+    "fig9": (FIGURES, "google-trace workload"),
+    "fig10": (FIGURES, "locality placement"),
+    "fig10-limits": (FIGURES, "locality start-limit sweep"),
+    "fig11": (FIGURES, "resource-aware policy"),
+    "fig12": (FIGURES, "priority policy"),
+    "fig13": (FIGURES, "get_task() priority ladder"),
+    "fig13-staged": (FIGURES, "get_task() with queues in separate stages"),
+    "ablation-retrieve": (FIGURES, "conditional vs delayed retrieve (§4.5)"),
+    "ablation-ps": (FIGURES, "RackSched intra-node cFCFS vs PS (§2.2)"),
+    "scalability": (FIGURES, "cluster-size model and DES spot checks"),
+    "rtt": (FIGURES, "RTT sensitivity sweep"),
+    "resources": (FIGURES, "switch resource table"),
     "fuzz": (
         "repro.experiments.fuzz",
         "randomized invariant fuzzer (--runtime sim|live)",
@@ -85,6 +86,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(list_commands(), file=sys.stderr)
         return 2
     module, _ = entry
+    if module == FIGURES and name != "figures":
+        rest = [name, *rest]
     # Hand over exactly as `python -m <module> rest...` would: the target
     # owns argparse, exit codes, everything. runpy + argv surgery keeps
     # this dispatcher agnostic to each module's main() signature. A stale

@@ -12,9 +12,9 @@ cores when running 500 µs tasks." The bound comes from three ceilings:
 3. **per-port bandwidth** is never binding for 100-plus-byte packets at
    these rates.
 
-``max_cluster_cores`` computes the binding ceiling; the experiment module
-(`repro.experiments.scalability`) spot-checks the analytic model against
-the discrete-event simulator at feasible scales.
+``max_cluster_cores`` computes the binding ceiling; the ``scalability``
+figure of :mod:`repro.experiments.figures` spot-checks the analytic model
+against the discrete-event simulator at feasible scales.
 """
 
 from __future__ import annotations

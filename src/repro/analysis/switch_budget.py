@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.core.queue import SwitchCircularQueue
+from repro.errors import PipelineResourceError
+from repro.switchsim.registers import RegisterFile
 from repro.switchsim.resources import MODELS, SwitchModel, TOFINO1, TOFINO2
 
 
@@ -99,3 +102,21 @@ def budget_report(layout: QueueEntryLayout = QueueEntryLayout()) -> List[BudgetR
             )
         )
     return rows
+
+
+def declared_queue_fits(model_name: str, capacity: int) -> bool:
+    """Declare a real :class:`SwitchCircularQueue` of ``capacity`` and check
+    its registers against the model's budget (not only the estimate)."""
+    model = MODELS[model_name]
+    registers = RegisterFile()
+    # The one object array stands in for the per-stage field arrays, so cap
+    # per-stage occupancy explicitly, spread as the budget model assumes.
+    per_stage = model.sram_bits_per_stage // QueueEntryLayout().total_bits()
+    if capacity > per_stage * model.register_stages_for_queue:
+        return False
+    SwitchCircularQueue(registers, "q", max(2, min(capacity, per_stage)))
+    try:
+        model.check_fits(registers)
+    except PipelineResourceError:
+        return False
+    return True

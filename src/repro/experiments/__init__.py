@@ -1,11 +1,12 @@
-"""Experiment harness: one module per table/figure in the paper's §8.
+"""Experiment harness for the paper's evaluation.
 
 ``repro.experiments.common`` builds clusters for every scheduler under
-test and runs workloads against them; the ``figN_*`` modules reproduce the
-corresponding figure's sweep and print the paper-vs-measured rows recorded
-in EXPERIMENTS.md. Every module exposes a ``run(...)`` entry point with a
-``scale`` knob so benches can run seconds-long versions of experiments the
-paper ran for minutes.
+test and runs workloads against them; ``repro.experiments.figures`` is the
+declarative table of every reproduced figure and table (its sweep, its
+inputs at the ``test`` / ``smoke`` / ``report`` / ``bench`` scales and the
+paper's expected shape as predicates), and ``run_all`` runs the whole
+table plus the chaos sweep. The remaining modules are the fault, recovery,
+replication and fuzzing experiments.
 """
 
 from repro.experiments.common import (

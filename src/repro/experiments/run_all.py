@@ -1,181 +1,37 @@
-"""Run the full evaluation suite and print every table.
+"""Run every figure of the evaluation table, then the chaos sweep.
 
 Usage::
 
-    python -m repro.experiments.run_all [--scale {smoke,report}]
+    python -m repro.experiments.run_all [--scale {test,smoke,report,bench}]
+        [--jobs N] [--check] [--json rows.json] [figure ...]
 
-``smoke`` finishes in ~2 minutes; ``report`` (default) is the scale used
-to produce EXPERIMENTS.md (~20–30 minutes).
+``smoke`` finishes in a few minutes; ``report`` (default) is the scale
+EXPERIMENTS.md was produced at (~30 minutes). Figures, scales and flags
+are those of :mod:`repro.experiments.figures`.
 """
 
 from __future__ import annotations
 
-import argparse
-import time
+from typing import Optional, Sequence
 
-from repro.experiments.parallel_runner import add_jobs_argument
-from repro.experiments import (
-    ablation_retrieve,
-    fault_tolerance,
-    fig5a_latency,
-    fig5b_throughput,
-    fig6_synthetic,
-    fig7_recirculation,
-    fig8_jbsq,
-    fig9_google,
-    fig10_locality,
-    fig11_resources,
-    fig12_priority,
-    fig13_gettask,
-    scalability,
-    table_switch_resources,
-)
-from repro.sim.core import Simulator, ms
+from repro.experiments import fault_tolerance, figures
+from repro.sim.core import ms
 
-SCALES = {
-    "smoke": dict(
-        fig5a=dict(loads=(0.4, 0.8), duration_ns=ms(20)),
-        fig5b=dict(executor_counts=(16, 96), duration_ns=ms(6)),
-        fig6=dict(loads=(0.5, 0.9), duration_ns=ms(20),
-                  workload_names=("250us", "bimodal")),
-        fig7=dict(loads=(0.93,), duration_ns=ms(25)),
-        fig8=dict(loads=(0.5, 0.93), duration_ns=ms(25)),
-        fig9=dict(duration_ns=ms(40), mean_rate_tps=120_000.0),
-        fig10=dict(duration_ns=ms(30)),
-        fig11=dict(phase_ns=ms(8)),
-        fig12=dict(duration_ns=ms(150), mean_task_ns=ms(2),
-                   workers=4, executors_per_worker=8),
-        fig13=dict(duration_ns=ms(10)),
-        ablation=dict(loads=(0.5,), duration_ns=ms(20)),
-        chaos=dict(seeds=(0, 1), duration_ns=ms(12), drain_ns=ms(20)),
-    ),
-    "report": dict(
-        fig5a=dict(loads=(0.2, 0.4, 0.6, 0.8, 0.9), duration_ns=ms(60)),
-        fig5b=dict(executor_counts=(16, 48, 96, 160, 208), duration_ns=ms(10)),
-        fig6=dict(loads=(0.3, 0.5, 0.7, 0.9), duration_ns=ms(50)),
-        fig7=dict(duration_ns=ms(60)),
-        fig8=dict(duration_ns=ms(50)),
-        fig9=dict(duration_ns=ms(80), mean_rate_tps=150_000.0),
-        fig10=dict(duration_ns=ms(80)),
-        fig11=dict(phase_ns=ms(15)),
-        fig12=dict(duration_ns=ms(400), mean_task_ns=ms(2),
-                   workers=4, executors_per_worker=8),
-        fig13=dict(duration_ns=ms(30)),
-        ablation=dict(duration_ns=ms(50)),
-        chaos=dict(seeds=(0, 1, 2, 3, 4), duration_ns=ms(40), drain_ns=ms(40)),
-    ),
+#: §3.3 chaos sweep per scale: a smoke-sized sweep except at report scale
+CHAOS = {
+    scale: dict(seeds=(0, 1), duration_ns=ms(12), drain_ns=ms(20)) for scale in figures.SCALES
 }
+CHAOS[figures.REPORT] = dict(seeds=(0, 1, 2, 3, 4), duration_ns=ms(40), drain_ns=ms(40))
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--scale", choices=sorted(SCALES), default="report"
-    )
-    add_jobs_argument(parser)
-    args = parser.parse_args()
-    knobs = SCALES[args.scale]
-    start = time.time()
-    events_start = Simulator.global_events_processed()
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = figures.parse_args(argv, __doc__)
 
-    def section(name: str, body) -> None:
-        """Run one experiment, then report its wall time and events/sec."""
-        elapsed = time.time() - start
-        print(f"\n{'=' * 72}\n{name}  [t+{elapsed:.0f}s]\n{'=' * 72}", flush=True)
-        events_before = Simulator.global_events_processed()
-        wall_before = time.perf_counter()
-        body()
-        wall = time.perf_counter() - wall_before
-        events = Simulator.global_events_processed() - events_before
-        rate = f", {events / wall:,.0f} events/s" if wall > 0 and events else ""
-        print(f"[{wall:.1f}s wall, {events:,} sim events{rate}]", flush=True)
+    def chaos() -> None:
+        fault_tolerance.print_table(fault_tolerance.run(**CHAOS[args.scale], jobs=args.jobs))
 
-    def fig5a_section() -> None:
-        rows = fig5a_latency.run(**knobs["fig5a"])
-        fig5a_latency.print_table(rows)
-        print("\np99 ratio vs Draconis at ~60% load:")
-        for system, ratio in sorted(
-            fig5a_latency.paper_comparison(rows).items()
-        ):
-            print(f"  {system:>16}: {ratio:7.1f}x")
-
-    def fig13_section() -> None:
-        rows = fig13_gettask.run(**knobs["fig13"])
-        fig13_gettask.print_table(rows)
-        print(f"median spread: {fig13_gettask.level_spread(rows):.2f} us")
-
-    section("Figure 5a — throughput vs p99 (500 us)", fig5a_section)
-    section(
-        "Figure 5b — no-op scheduling throughput",
-        lambda: fig5b_throughput.print_table(
-            fig5b_throughput.run(**knobs["fig5b"])
-        ),
-    )
-    section(
-        "Figure 6 — synthetic suite",
-        lambda: fig6_synthetic.print_table(fig6_synthetic.run(**knobs["fig6"])),
-    )
-    section(
-        "Figure 7 — recirculation and drops",
-        lambda: fig7_recirculation.print_table(
-            fig7_recirculation.run(**knobs["fig7"])
-        ),
-    )
-    section(
-        "Figure 8 — JBSQ queue size",
-        lambda: fig8_jbsq.print_table(fig8_jbsq.run(**knobs["fig8"])),
-    )
-    section(
-        "Figure 9 — google-like trace",
-        lambda: fig9_google.print_table(fig9_google.run(**knobs["fig9"])),
-    )
-    section(
-        "Figure 10 — locality-aware vs FCFS",
-        lambda: fig10_locality.print_table(
-            fig10_locality.run(**knobs["fig10"])
-        ),
-    )
-    section(
-        "Figure 11 — resource phases",
-        lambda: fig11_resources.print_table(
-            fig11_resources.run(**knobs["fig11"])
-        ),
-    )
-    section(
-        "Figure 12 — priority queueing delays",
-        lambda: fig12_priority.print_table(
-            fig12_priority.run(**knobs["fig12"])
-        ),
-    )
-    section("Figure 13 — get_task() ladder", fig13_section)
-    section(
-        "§7 — switch resource budget",
-        lambda: table_switch_resources.print_table(
-            table_switch_resources.run()
-        ),
-    )
-    section("§8.2 — scalability", scalability.print_report)
-    section(
-        "Ablation — retrieve-pointer handling",
-        lambda: ablation_retrieve.print_table(
-            ablation_retrieve.run(**knobs["ablation"])
-        ),
-    )
-    section(
-        "§3.3 — fault tolerance (chaos sweep)",
-        lambda: fault_tolerance.print_table(
-            fault_tolerance.run(**knobs["chaos"], jobs=args.jobs)
-        ),
-    )
-
-    total_wall = time.time() - start
-    total_events = Simulator.global_events_processed() - events_start
-    print(
-        f"\nTOTAL {total_wall:.0f}s, {total_events:,} sim events "
-        f"({total_events / total_wall:,.0f} events/s)",
-        flush=True,
-    )
+    return figures.report(args, extra=[("§3.3 — fault tolerance (chaos sweep)", chaos)])
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -66,12 +66,6 @@ class Socket:
         """Deliver packets synchronously to ``handler`` instead of queuing."""
         self._handler = handler
 
-    def deliver(self, packet: Packet) -> None:
-        if self._handler is not None:
-            self._handler(packet)
-        else:
-            self._inbox.put(packet)
-
     def drain(self) -> int:
         """Discard all undelivered packets (crash modelling); see Store.clear."""
         return self._inbox.clear()
@@ -112,12 +106,6 @@ class Host:
             self._sockets[port] = sock
         return sock
 
-    def transmit(self, packet: Packet) -> bool:
-        if self._uplink is None:
-            raise NetworkError(f"host {self.name} has no uplink")
-        self.tx_packets += 1
-        return self._uplink.send(packet)
-
     def receive(self, packet: Packet) -> None:
         """Link sink: demux an arriving packet to the bound socket."""
         self.rx_packets += 1
@@ -125,7 +113,7 @@ class Host:
         if sock is None:
             self.rx_unroutable += 1
             return
-        # Socket.deliver + Store.put, inlined: two frames less per
+        # Handler dispatch or Store.put, inlined: two frames less per
         # delivered packet. Socket inboxes are unbounded, so the
         # capacity/tail-drop branch of Store.put is dead here.
         if sock._handler is not None:

@@ -100,15 +100,6 @@ class Link:
         """Time to clock ``size_bytes`` onto the wire."""
         return max(1, (size_bytes * 8 * SEC) // self.bandwidth_bps)
 
-    def queued_packets(self) -> int:
-        """Approximate queue occupancy in packets (for drop decisions)."""
-        backlog_ns = self._tx_free_at - self.sim._now
-        if backlog_ns <= 0:
-            return 0
-        # Average scheduler packet is small; use a 128-byte estimate purely
-        # for the bounded-queue heuristic.
-        return backlog_ns // self._est_pkt_ns
-
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet for transmission; False means dropped.
 

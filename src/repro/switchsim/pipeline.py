@@ -192,27 +192,6 @@ class ProgrammableSwitch(BaseSwitch):
             hook(program, old)
         return old
 
-    def audit(self) -> dict:
-        """Cheap register-sanity probe for the verify oracle.
-
-        Runs the program's own control-plane invariant checks (pointer
-        windows, occupancy bounds) and reports the numbers the oracle
-        cross-checks; raises ``SwitchError`` on a violated invariant.
-        Safe to call mid-run — it is pure control-plane reads.
-        """
-        program = self.program
-        if hasattr(program, "check_invariants"):
-            program.check_invariants()
-        report = {
-            "recirc_limit": self.recirc_queue_packets,
-            "failovers": self.stats.failovers,
-        }
-        if hasattr(program, "total_queued"):
-            report["total_queued"] = program.total_queued()
-        if hasattr(program, "parked_pull_count"):
-            report["parked_pulls"] = program.parked_pull_count()
-        return report
-
     def recirc_backlog_fraction(self) -> float:
         """Occupied fraction of the recirculation queue (degradation signal)."""
         if self.recirc_queue_packets <= 0:
@@ -318,44 +297,8 @@ class ProgrammableSwitch(BaseSwitch):
             self.stats.program_drops += 1
             if obs is not None:
                 obs.on_switch_drop(self.sim.now, action.packet, action.reason)
-        elif isinstance(action, (Forward, Reply, Recirculate, Drop)):
-            # Someone subclassed an action type; route it the slow way.
-            self._apply_generic(action)
         else:
             raise SwitchError(f"unknown switch action: {action!r}")
-
-    def _apply_generic(self, action: Action) -> None:
-        if isinstance(action, Forward):
-            pkt = action.packet
-            if action.dst is not None:
-                pkt.dst = action.dst
-            self.stats.forwards += 1
-            if self.obs is not None:
-                self.obs.on_switch_forward(self.sim.now, pkt)
-            self.forward(pkt)
-        elif isinstance(action, Reply):
-            self.stats.replies += 1
-            if self.obs is not None:
-                self.obs.on_switch_reply(
-                    self.sim.now, action.dst.node, action.payload
-                )
-            reply = Packet(
-                src=self.service_address,
-                dst=action.dst,
-                payload=action.payload,
-                size=action.size + ETHERNET_IP_UDP_OVERHEAD,
-            )
-            self.forward(reply)
-        elif isinstance(action, Recirculate):
-            if self.obs is not None:
-                self.obs.on_switch_recirculate(self.sim.now, action.packet)
-            self._recirculate(action.packet)
-        else:
-            self.stats.program_drops += 1
-            if self.obs is not None:
-                self.obs.on_switch_drop(
-                    self.sim.now, action.packet, action.reason
-                )
 
     def _recirculate(self, packet: Packet) -> None:
         """Queue a packet on the recirculation port; overflow drops it."""

@@ -1,14 +1,17 @@
-"""Smoke and shape tests for the experiment harness and figure modules.
+"""Tests for the experiment harness and the figure table.
 
-These run scaled-down versions of every figure and assert the *shape*
-properties the paper reports — the full-scale comparisons live in
-``benchmarks/``.
+Every figure runs at ``test`` scale and its predicates (the *shape*
+properties the paper reports) must hold; the ``bench``-scale judgement is
+``python -m repro.experiments.figures --scale bench --check``.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core.policies import PriorityPolicy
 from repro.errors import ConfigurationError
+from repro.experiments import figures
 from repro.experiments.common import (
     ClusterConfig,
     build_cluster,
@@ -109,145 +112,102 @@ class TestHarness:
 
 
 class TestFigureShapes:
-    """Scaled-down shape assertions, one per figure family."""
+    """Every figure of the table runs at ``test`` scale and its predicates hold."""
 
-    def test_fig5a_draconis_beats_server_at_p99(self):
-        from repro.experiments import fig5a_latency
+    @pytest.mark.parametrize("name", list(figures.FIGURES))
+    def test_checks_hold_at_test_scale(self, name):
+        fig = figures.FIGURES[name]
+        rows = figures.run(fig, figures.TEST)
+        assert rows
+        verdicts = figures.check(fig, rows, figures.TEST)
+        assert verdicts, f"{name} judges nothing at test scale"
+        failed = [v for v in verdicts if not v.ok]
+        assert not failed, figures.format_checks(failed)
 
-        rows = fig5a_latency.run(
-            loads=[0.6], duration_ns=ms(25),
-            systems=["draconis", "draconis-socket"],
-        )
-        by = {r.system: r for r in rows}
-        assert by["draconis"].p99_us * 3 < by["draconis-socket"].p99_us
+    ROWS = [dict(system="draconis", utilization=0.6, p99_us=9.0),
+            dict(system="sparrow", utilization=0.6, p99_us=900.0)]
 
-    def test_fig5b_draconis_scales_servers_saturate(self):
-        from repro.experiments import fig5b_throughput
+    def _judge(self, *preds):
+        fig = replace(figures.FIGURES["fig5a"], checks=preds)
+        return figures.check(fig, self.ROWS, figures.TEST)
 
-        rows = fig5b_throughput.run(
-            executor_counts=[16, 64], duration_ns=ms(6),
-            systems=["draconis", "draconis-dpdk"],
-        )
-        draconis = [r for r in rows if r.system == "draconis"]
-        dpdk = [r for r in rows if r.system == "draconis-dpdk"]
-        assert draconis[1].throughput_tps > 2.5 * draconis[0].throughput_tps
-        assert dpdk[1].throughput_tps < 1.5 * dpdk[0].throughput_tps
+    def test_margin_is_signed_distance_from_threshold(self):
+        ratio = figures.over(figures.at("p99_us", "sparrow", 0.6),
+                             figures.at("p99_us", "draconis", 0.6))
+        (holds,) = self._judge(figures.Pred("ratio", ratio, ">", 30, (figures.TEST,)))
+        assert holds.ok and holds.value == 100 and holds.margin == 70
 
-    def test_fig7_r2p2_recirculates_draconis_does_not(self):
-        from repro.experiments import fig7_recirculation
+    def test_check_fails_on_a_broken_predicate(self):
+        broken = figures.Pred("broken", figures.at("p99_us", "draconis", 0.6), ">", 50,
+                              (figures.TEST,))
+        missing = figures.Pred("missing", figures.at("p99_us", "racksched", 0.6), "<", 50,
+                               (figures.TEST,))
+        verdicts = self._judge(broken, missing)
+        assert [v.ok for v in verdicts] == [False, False]
+        assert verdicts[0].margin == -41 and verdicts[1].value is None
+        assert "FAIL" in figures.format_checks(verdicts)
 
-        rows = fig7_recirculation.run(
-            loads=[0.93], duration_ns=ms(25), systems=["r2p2-1", "draconis"]
-        )
-        by = {r.system: r for r in rows}
-        assert by["r2p2-1"].recirculation_fraction > 0.3
-        assert by["draconis"].recirculation_fraction < 0.01
-
-    def test_fig8_r2p2_3_tail_equals_service_time(self):
-        from repro.experiments import fig8_jbsq
-
-        rows = fig8_jbsq.run(
-            task_durations_us=[250.0], loads=[0.6], duration_ns=ms(30),
-            systems=["draconis", "r2p2-3"],
-        )
-        by = {r.system: r for r in rows}
-        assert by["r2p2-3"].p99_us == pytest.approx(250.0, rel=0.8)
-        assert by["draconis"].p99_us < 60
-
-    def test_fig10_locality_beats_fcfs_on_placement(self):
-        from repro.experiments import fig10_locality
-
-        rows = fig10_locality.run(duration_ns=ms(20))
-        by = {r.policy: r for r in rows}
-        assert by["locality"].node_local > 2 * by["fcfs"].node_local
-        assert by["locality"].e2e_p50_us < by["fcfs"].e2e_p50_us
-
-    def test_fig11_group_phases(self):
-        from repro.experiments import fig11_resources
-
-        rows = fig11_resources.run(phase_ns=ms(6))
-        # first phase: G1 busy; last phase: only G3
-        first = rows[1]
-        assert first.g1_tps > 0
-        late = rows[-6]
-        assert late.g1_tps == 0 and late.g3_tps > 0
-
-    def test_fig12_priority_separation(self):
-        from repro.experiments import fig12_priority
-
-        rows = fig12_priority.run(
-            duration_ns=ms(120), mean_task_ns=ms(2),
-            workers=2, executors_per_worker=8, include_fcfs=False,
-        )
-        by_level = {r.priority: r for r in rows}
-        assert by_level[1].queueing_p50_us < by_level[3].queueing_p50_us
-        assert by_level[3].queueing_p50_us < by_level[4].queueing_p50_us
-
-    def test_fig13_ladder_spread_small(self):
-        from repro.experiments import fig13_gettask
-
-        rows = fig13_gettask.run(duration_ns=ms(10))
-        spread = fig13_gettask.level_spread(rows)
-        assert 0.5 < spread < 10  # ~1.6 us per recirculated level
-
-    def test_ablation_delayed_mode_recirculates_more(self):
-        from repro.experiments import ablation_retrieve
-
-        rows = ablation_retrieve.run(loads=[0.5], duration_ns=ms(15))
-        by = {r.retrieve_mode: r for r in rows}
-        assert (
-            by["delayed"].recirculation_fraction
-            > by["conditional"].recirculation_fraction
-        )
-        assert by["delayed"].completed == by["delayed"].submitted
+    def test_deviation_fails_only_once_it_holds(self):
+        still = figures.Pred("still", figures.at("p99_us", "draconis", 0.6), ">", 50,
+                             (figures.TEST,), deviation=True)
+        now = figures.Pred("now", figures.at("p99_us", "sparrow", 0.6), ">", 50,
+                           (figures.TEST,), deviation=True)
+        verdicts = self._judge(still, now)
+        assert [v.ok for v in verdicts] == [True, False]
+        assert "deviation now holds" in figures.format_checks(verdicts)
 
 
 class TestRunAllScales:
     def test_scales_define_every_figure(self):
-        from repro.experiments.run_all import SCALES
-
-        expected = {"fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9",
-                    "fig10", "fig11", "fig12", "fig13", "ablation", "chaos"}
-        for scale, knobs in SCALES.items():
-            assert set(knobs) == expected, scale
+        assert len(figures.FIGURES) == len(figures.FIGURE_LIST)
+        for fig in figures.FIGURE_LIST:
+            assert set(fig.scales) == set(figures.SCALES), fig.name
+            for scale in figures.SCALES:
+                assert figures.points(fig, scale), (fig.name, scale)
 
     def test_smoke_scale_is_cheaper_than_report(self):
-        from repro.experiments.run_all import SCALES
+        def work(fig, scale):
+            """Simulated time summed over every point of the sweep."""
+            return sum(
+                knobs.get("duration_ns") or knobs.get("phase_ns") or 0
+                for _point, knobs in figures.points(fig, scale)
+            )
 
-        smoke, report = SCALES["smoke"], SCALES["report"]
-        for key in smoke:
-            s_duration = smoke[key].get("duration_ns") or smoke[key].get("phase_ns")
-            r_duration = report[key].get("duration_ns") or report[key].get("phase_ns")
-            assert s_duration <= r_duration, key
+        for fig in figures.FIGURE_LIST:
+            assert work(fig, figures.SMOKE) <= work(fig, figures.REPORT), fig.name
+            assert work(fig, figures.TEST) <= work(fig, figures.BENCH), fig.name
+
+    def test_every_deviation_is_judged_at_bench_scale(self):
+        for fig in figures.FIGURE_LIST:
+            for pred in fig.checks:
+                assert figures.BENCH in pred.scales or figures.TEST in pred.scales, pred.name
+                assert not pred.deviation or figures.BENCH in pred.scales, pred.name
 
 
 class TestFigureCharts:
     def test_fig5a_chart_renders(self):
-        from repro.experiments.fig5a_latency import Fig5aRow, chart
-
         rows = [
-            Fig5aRow("draconis", 0.5, 1e5, 9.0, 3.0, 1, 1),
-            Fig5aRow("sparrow", 0.5, 1e5, 900.0, 700.0, 1, 1),
+            dict(system="draconis", utilization=0.5, offered_tps=1e5, p99_us=9.0),
+            dict(system="sparrow", utilization=0.5, offered_tps=1e5, p99_us=900.0),
         ]
-        out = chart(rows)
+        out = figures.render_chart(figures.FIGURES["fig5a"], rows)
         assert "draconis" in out and "sparrow" in out
 
     def test_fig6_charts_render_one_panel_per_workload(self):
-        from repro.experiments.fig6_synthetic import Fig6Row, charts
-
         rows = [
-            Fig6Row("100us", "draconis", 0.5, 2.0, 6.0),
-            Fig6Row("100us", "r2p2-3", 0.5, 2.0, 90.0),
-            Fig6Row("500us", "draconis", 0.5, 3.0, 9.0),
+            dict(workload="100us", system="draconis", utilization=0.5, p99_us=6.0),
+            dict(workload="100us", system="r2p2-3", utilization=0.5, p99_us=90.0),
+            dict(workload="500us", system="draconis", utilization=0.5, p99_us=9.0),
         ]
-        out = charts(rows)
-        assert out.count("p99 vs utilization") == 2
+        out = figures.render_chart(figures.FIGURES["fig6"], rows)
+        assert out.count("p99_us vs utilization") == 2
 
     def test_fig9_chart_renders(self):
-        from repro.experiments.fig9_google import Fig9Row, chart
+        rows = [dict(system="draconis", cdf=[(1000.0, 0.5), (10000.0, 1.0)])]
+        assert "log10" in figures.render_chart(figures.FIGURES["fig9"], rows)
 
-        rows = [
-            Fig9Row("draconis", 5.0, 100.0, 500.0, 0.0,
-                    [(1000.0, 0.5), (10000.0, 1.0)]),
-        ]
-        assert "log10" in chart(rows)
+    def test_table_prints_every_kept_column(self):
+        fig = figures.FIGURES["fig10"]
+        rows = [dict(policy="fcfs", node_local=0.1, cdf=[(1.0, 1.0)])]
+        out = figures.format_table(fig, rows)
+        assert "node_local" in out and "cdf" not in out
